@@ -30,16 +30,26 @@ const char* figure2_step(const net::Message& m) {
       return "steps 2,3: A fetches the region descriptor";
     case MsgType::kDescLookupResp:
       return "steps 2,3: ... descriptor arrives (page dir lookup = step 4)";
-    case MsgType::kCm: {
+    case MsgType::kPageFetchReq: {
+      // u8 protocol, u32 n, then the first entry's addr and mode.
       Decoder d(m.payload);
       (void)d.u8();
+      (void)d.u32();
+      (void)d.addr();
+      return static_cast<LockMode>(d.u8()) == LockMode::kRead
+                 ? "steps 5,6: A's CM asks B's CM for read credentials"
+                 : "steps 5,6: A's CM asks B's CM for write credentials";
+    }
+    case MsgType::kCm:
+    case MsgType::kPageFetchResp: {
+      // kCm: u8 protocol, addr, u8 sub. kPageFetchResp: u8 protocol,
+      // u32 n, then the first entry's addr and u8 sub.
+      Decoder d(m.payload);
+      (void)d.u8();
+      if (m.type == MsgType::kPageFetchResp) (void)d.u32();
       (void)d.addr();
       const auto sub = static_cast<consistency::CrewManager::Sub>(d.u8());
       switch (sub) {
-        case consistency::CrewManager::Sub::kReadReq:
-          return "steps 5,6: A's CM asks B's CM for read credentials";
-        case consistency::CrewManager::Sub::kWriteReq:
-          return "steps 5,6: A's CM asks B's CM for write credentials";
         case consistency::CrewManager::Sub::kData:
           return "steps 7-10: B supplies a copy of p; A caches it";
         case consistency::CrewManager::Sub::kOwner:

@@ -1,8 +1,8 @@
 // MULTIPAGE — cost of an N-page range lock + read, 1..64 pages.
 //
-// The pipelined lock path (prefetch window + coalesced kPageBatchFetch
-// messages) should make a cold N-page operation cost ~1 batched round
-// trip instead of N sequential ones. Two sections:
+// The pipelined lock path (prefetch window + coalesced multi-page
+// kPageFetchReq messages) should make a cold N-page operation cost ~1
+// round trip instead of N sequential ones. Two sections:
 //
 //  * SimWorld sweep over a WAN-like link (deterministic virtual time),
 //    against the pre-change behavior — sequential per-page lock/read —
@@ -126,11 +126,11 @@ void tcp_spot_check(bench::JsonReport& report) {
           .count());
 
   obs::HistogramSnapshot batch_pages;
-  obs::HistogramSnapshot batch_rpc;
+  obs::HistogramSnapshot rounds;
   world.transport(1).run_on_executor([&] {
     auto& reg = world.node(1).metrics();
     batch_pages = reg.histogram("crew.batch_pages").snapshot();
-    batch_rpc = reg.histogram("crew.batch_rpc_us").snapshot();
+    rounds = reg.histogram("crew.round_us").snapshot();
   });
   const obs::HistogramSnapshot gather =
       world.transport(1).metrics().histogram("tcp.writev_frames").snapshot();
@@ -149,8 +149,8 @@ void tcp_spot_check(bench::JsonReport& report) {
   bench::cell("pages/batch max");
   bench::cell(batch_pages.max);
   bench::endrow();
-  bench::cell("batch rtt p50");
-  bench::cell(bench::us(static_cast<Micros>(batch_rpc.percentile(50))));
+  bench::cell("page round p50");
+  bench::cell(bench::us(static_cast<Micros>(rounds.percentile(50))));
   bench::endrow();
   bench::cell("frames/sendmsg max");
   bench::cell(gather.max);

@@ -130,22 +130,20 @@ class CmHost {
   /// so minimal hosts — test fakes — need not provide one.
   [[nodiscard]] virtual obs::MetricsRegistry& metrics();
 
-  /// Sends a batched data-plane message (kPageBatchFetchReq when `request`,
-  /// else kPageBatchFetchResp) whose payload covers many pages at once; the
-  /// receiver routes it to the protocol's on_batch_fetch/on_batch_grant.
-  /// `route_key` is the lane-routing key every page in the batch shares
+  /// Sends a page fetch (kPageFetchReq when `request`, else the
+  /// kPageFetchResp answering one) whose payload covers N >= 1 pages; the
+  /// receiver routes it to the protocol's on_page_fetch/on_page_fetch_resp.
+  /// `route_key` is the lane-routing key every page in the message shares
   /// (route_key_of of any of them) — the receiving transport demuxes the
-  /// batch onto that key's lane. Defaulted to a drop so minimal hosts need
-  /// not implement batching: protocols must treat batch sends as
-  /// best-effort and recover through their per-page retry timers.
-  virtual void send_page_batch(NodeId peer, ProtocolId protocol, bool request,
-                               Bytes payload, std::uint64_t route_key = 0);
+  /// message onto that key's lane.
+  virtual void send_page_fetch(NodeId peer, ProtocolId protocol, bool request,
+                               Bytes payload, std::uint64_t route_key) = 0;
 
   /// Lane-routing key for `page`: the containing region's base address (or
   /// 0 for control-plane pages such as the address map, which are confined
-  /// to lane 0). Protocols batching across pages must only merge pages that
-  /// share a route key — the receiver dispatches the whole batch onto one
-  /// lane. Defaulted to 0 (single-lane hosts and test fakes).
+  /// to lane 0). Protocols merging pages into one message must only merge
+  /// pages that share a route key — the receiver dispatches the whole
+  /// message onto one lane. Defaulted to 0 (single-lane hosts, test fakes).
   [[nodiscard]] virtual std::uint64_t route_key_of(const GlobalAddress& page) {
     (void)page;
     return 0;
@@ -186,15 +184,15 @@ class ConsistencyManager {
     done(Status{});
   }
 
-  /// Batched data-plane messages (see CmHost::send_page_batch): a request
-  /// carrying a page list, and the multi-grant response. Decoders are
-  /// positioned after the protocol id byte. Default: protocol does not
-  /// batch; ignore (per-page retries recover).
-  virtual void on_batch_fetch(NodeId from, Decoder& d) {
+  /// Page fetch messages (see CmHost::send_page_fetch): a request carrying
+  /// a page list, and the multi-grant response. Decoders are positioned
+  /// after the protocol id byte. Default: the protocol fetches over its
+  /// own kCm subtypes instead; ignore.
+  virtual void on_page_fetch(NodeId from, Decoder& d) {
     (void)from;
     (void)d;
   }
-  virtual void on_batch_grant(NodeId from, Decoder& d) {
+  virtual void on_page_fetch_resp(NodeId from, Decoder& d) {
     (void)from;
     (void)d;
   }

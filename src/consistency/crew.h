@@ -9,12 +9,16 @@
 //
 // Per-page directory state (owner + copyset) lives at the page's home node
 // in the shared PageDirectory. The protocol:
-//   * read lock: local valid copy -> immediate grant; otherwise ReadReq to
-//     home; home serves its copy or has the exclusive owner downgrade and
-//     supply one (the 13 steps of Figure 2).
+//   * read lock: local valid copy -> immediate grant; otherwise a read
+//     fetch to home; home serves its copy or has the exclusive owner
+//     downgrade and supply one (the 13 steps of Figure 2).
 //   * write lock: local exclusive ownership -> immediate grant; otherwise
-//     WriteReq to home; home invalidates the copyset, transfers ownership
-//     and current data to the requester.
+//     a write fetch to home; home invalidates the copyset, transfers
+//     ownership and current data to the requester.
+//   * every fetch rides a kPageFetchReq carrying N >= 1 pages (all the
+//     fetches one execution turn aims at one home); the home answers what
+//     it can decide at once in kPageFetchResp chunks and runs a per-page
+//     round for the rest.
 //   * conflicting grants are delayed, not refused: invalidations and
 //     downgrades wait for local lock holders to release (Section 3.3, "it
 //     delays granting the locks until the conflict is resolved").
@@ -36,8 +40,7 @@ class CrewManager final : public ConsistencyManager {
   explicit CrewManager(CmHost& host)
       : host_(host),
         round_us_(&host.metrics().histogram("crew.round_us")),
-        batch_pages_(&host.metrics().histogram("crew.batch_pages")),
-        batch_rpc_us_(&host.metrics().histogram("crew.batch_rpc_us")) {}
+        batch_pages_(&host.metrics().histogram("crew.batch_pages")) {}
 
   [[nodiscard]] ProtocolId id() const override { return ProtocolId::kCrew; }
   [[nodiscard]] std::string_view name() const override { return "crew"; }
@@ -49,23 +52,22 @@ class CrewManager final : public ConsistencyManager {
   void release(const GlobalAddress& page, LockMode mode, bool dirty) override;
   void on_message(NodeId from, const GlobalAddress& page,
                   Decoder& d) override;
-  void on_batch_fetch(NodeId from, Decoder& d) override;
-  void on_batch_grant(NodeId from, Decoder& d) override;
+  void on_page_fetch(NodeId from, Decoder& d) override;
+  void on_page_fetch_resp(NodeId from, Decoder& d) override;
   bool on_evict(const GlobalAddress& page) override;
   void on_node_down(NodeId node) override;
 
-  /// Most page entries carried by one kPageBatchFetchReq; bigger fetch
-  /// lists split into several batches.
-  static constexpr std::size_t kMaxBatchPages = 64;
-  /// Soft byte cap per kPageBatchFetchResp chunk: the home flushes the
+  /// Most page entries carried by one kPageFetchReq; bigger fetch lists
+  /// split into several messages.
+  static constexpr std::size_t kMaxFetchPages = 64;
+  /// Soft byte cap per kPageFetchResp chunk: the home flushes the
   /// accumulated grants once the payload crosses this line.
-  static constexpr std::size_t kBatchRespBytesCap = 1u << 20;
+  static constexpr std::size_t kFetchRespBytesCap = 1u << 20;
 
-  /// Protocol message subtypes (first byte of the CM payload).
+  /// Protocol message subtypes: first byte of a kCm payload and of each
+  /// kPageFetchResp entry body (requests travel as kPageFetchReq entries).
   enum class Sub : std::uint8_t {
-    kReadReq = 1,    // requester -> home
-    kWriteReq,       // requester -> home
-    kData,           // -> requester: version, bytes (grants shared copy)
+    kData = 1,       // -> requester: version, bytes (grants shared copy)
     kOwner,          // -> requester: version, bytes (grants ownership)
     kInvalidate,     // home -> sharer
     kInvAck,         // sharer -> home
@@ -112,31 +114,43 @@ class CrewManager final : public ConsistencyManager {
     NodeId deferred_xfer_to = kNoNode;       // transfer owner after release
   };
 
+  /// Immediate answers to one kPageFetchReq, all addressed to its sender;
+  /// they leave as kPageFetchResp chunks.
+  struct FetchReply {
+    NodeId to = kNoNode;
+    std::uint64_t route_key = 0;
+    Encoder out;
+    std::uint32_t n = 0;
+  };
+
   PageState& state(const GlobalAddress& page) { return pages_[page]; }
 
   // Requester side.
   void try_grant_local(const GlobalAddress& page);
-  void send_request(const GlobalAddress& page, LockMode mode,
-                    bool batchable = false);
-  void flush_fetch_batches();
+  void send_request(const GlobalAddress& page, LockMode mode);
+  void flush_fetches();
   void on_request_timeout(GlobalAddress page);
   /// Fires after the post-timeout backoff; re-issues the round unless a
   /// late grant already served the waiters.
   void resend_request(const GlobalAddress& page);
   void fail_waiters(const GlobalAddress& page, ErrorCode e);
 
-  // Home side. When `batch` is non-null, home_serve_data /
-  // home_grant_ownership append the grant to the batch-response encoder
-  // instead of sending a standalone kData/kOwner message.
-  void home_handle(const GlobalAddress& page, NodeId from, LockMode mode);
-  void home_start(const GlobalAddress& page, NodeId from, LockMode mode);
-  void home_continue_after_invs(const GlobalAddress& page);
+  // Home side. `reply` is the sink of the kPageFetchReq being decoded:
+  // a grant the home decides at once goes into it; a round that has to
+  // wait (invalidations, a third-party owner, a queued or write-gated
+  // request) answers later with a per-page kCm message.
+  void home_handle(const GlobalAddress& page, NodeId from, LockMode mode,
+                   FetchReply* reply = nullptr);
+  void home_start(const GlobalAddress& page, NodeId from, LockMode mode,
+                  FetchReply* reply = nullptr);
+  void home_continue_after_invs(const GlobalAddress& page,
+                                FetchReply* reply = nullptr);
   void home_finish(const GlobalAddress& page);
   void home_drain_queue(const GlobalAddress& page);
   void home_serve_data(const GlobalAddress& page, NodeId to,
-                       Encoder* batch = nullptr);
+                       FetchReply* reply = nullptr);
   void home_grant_ownership(const GlobalAddress& page, NodeId to,
-                            Encoder* batch = nullptr);
+                            FetchReply* reply = nullptr);
   void on_home_timeout(GlobalAddress page);
 
   // Holder side.
@@ -147,6 +161,14 @@ class CrewManager final : public ConsistencyManager {
 
   void send(NodeId to, const GlobalAddress& page, Sub sub,
             const std::function<void(Encoder&)>& body = {});
+  /// Answers `to` about `page`: into `reply` when it is `to`'s pending
+  /// kPageFetchResp, else as a per-page kCm message.
+  void answer(const GlobalAddress& page, NodeId to, Sub sub,
+              const std::function<void(Encoder&)>& body, FetchReply* reply);
+  void flush_reply(FetchReply& reply);
+  /// A kData/kOwner/kDowngradeDone body: the page's version, then its
+  /// local bytes (zeros when none are resident).
+  std::function<void(Encoder&)> page_body(const GlobalAddress& page);
   void install_data(const GlobalAddress& page, Version version, Bytes data,
                     storage::PageState new_state);
 
@@ -156,16 +178,14 @@ class CrewManager final : public ConsistencyManager {
 
   CmHost& host_;
   obs::Histogram* round_us_;
-  obs::Histogram* batch_pages_;
-  obs::Histogram* batch_rpc_us_;
+  obs::Histogram* batch_pages_;  // pages per kPageFetchReq
   std::map<GlobalAddress, PageState> pages_;
 
-  /// Same-turn request coalescing: first-attempt fetches issued within one
-  /// execution turn (e.g. a multi-page lock's prefetch fan-out) accumulate
-  /// here per (target, route key) and flush as one kPageBatchFetchReq on a
-  /// zero-delay timer. Batches never mix route keys — the receiving
-  /// transport dispatches a whole batch onto one lane. Retransmissions
-  /// bypass the buffer (per-page legacy path).
+  /// Same-turn request coalescing: every fetch issued within one execution
+  /// turn (acquires, retries, a multi-page lock's prefetch fan-out)
+  /// accumulates here per (target, route key) and flushes as kPageFetchReq
+  /// messages on a zero-delay timer. A message never mixes route keys —
+  /// the receiving transport dispatches it whole onto one lane.
   struct PendingFetch {
     GlobalAddress page;
     LockMode mode;
@@ -173,10 +193,6 @@ class CrewManager final : public ConsistencyManager {
   std::map<std::pair<NodeId, std::uint64_t>, std::vector<PendingFetch>>
       fetch_batch_;
   bool fetch_flush_scheduled_ = false;
-  std::uint64_t next_batch_seq_ = 1;
-  /// Send time per in-flight batch seq (for crew.batch_rpc_us); entries
-  /// die on the first response chunk or get pruned once the map is large.
-  std::map<std::uint64_t, Micros> batch_sent_at_;
 };
 
 }  // namespace khz::consistency

@@ -42,8 +42,7 @@ OpClass AdmissionController::classify(net::MsgType t) {
     // ordering-sensitive across a connection).
     case MsgType::kCm:
     case MsgType::kPageFetchReq:
-    case MsgType::kPageBatchFetchReq:
-    case MsgType::kPageBatchFetchResp:
+    case MsgType::kPageFetchResp:
     // Telemetry scrapes ride the protocol class on purpose: the whole point
     // of scraping is to observe a node in trouble, so the scrape must drain
     // ahead of the backed-up client queue it is trying to measure.

@@ -129,6 +129,8 @@ Node::Node(NodeConfig config, net::Transport& transport)
         }
         return v;
       }()) {
+  // Manager lookups assume a primary; an emptied list means the default.
+  if (config_.cluster_managers.empty()) config_.cluster_managers = {0};
   consistency::register_builtin_protocols();
   cms_v_.resize(lanes_);
   active_locks_v_.resize(lanes_);
@@ -291,14 +293,13 @@ void Node::send_cm(NodeId peer, ProtocolId protocol, const GlobalAddress& page,
   send_msg(std::move(m));
 }
 
-void Node::send_page_batch(NodeId peer, ProtocolId protocol, bool request,
+void Node::send_page_fetch(NodeId peer, ProtocolId protocol, bool request,
                            Bytes payload, std::uint64_t route_key) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(protocol));
   e.raw(payload);
   Message m;
-  m.type =
-      request ? MsgType::kPageBatchFetchReq : MsgType::kPageBatchFetchResp;
+  m.type = request ? MsgType::kPageFetchReq : MsgType::kPageFetchResp;
   m.dst = peer;
   m.route_key = route_key;
   m.payload = std::move(e).take();
@@ -345,7 +346,7 @@ NodeId Node::home_of(const GlobalAddress& page) {
   if (homed_descriptor(page)) return config_.id;
   if (auto desc = regions_.lookup(page)) return desc->primary_home();
   // Last resort: the cluster manager can route or Nack; retries recover.
-  return config_.cluster_manager;
+  return config_.cluster_managers.front();
 }
 
 bool Node::is_home(const GlobalAddress& page) {
@@ -567,40 +568,47 @@ void Node::nack(const net::Message& req) {
   respond(req, MsgType::kNack, std::move(e).take());
 }
 
+bool Node::repost_to_page_lane(const Message& msg, const GlobalAddress& page) {
+  if (lanes_ <= 1) return false;
+  // Safety net: the local resolution of the page's region is authoritative
+  // (the sender's key may be stale or 0 when it had no descriptor); fall
+  // back to the wire key when we know nothing.
+  std::uint64_t key = route_key_of(page);
+  if (key == 0) key = msg.route_key;
+  const unsigned target = lane_of(key, lanes_);
+  if (target == lane()) return false;
+  Message copy = msg;
+  copy.route_key = key;
+  post_to_lane(target, [this, copy = std::move(copy)]() mutable {
+    dispatch_request(copy);
+  });
+  return true;
+}
+
 void Node::handle_request(const Message& msg) {
   switch (msg.type) {
     case MsgType::kCm: {
       Decoder d(msg.payload);
       const auto protocol = static_cast<ProtocolId>(d.u8());
       const GlobalAddress page = d.addr();
-      if (lanes_ > 1) {
-        // Safety net: the local resolution of the page's region is
-        // authoritative (the sender's key may be stale or 0 when it had no
-        // descriptor); fall back to the wire key when we know nothing.
-        std::uint64_t key = route_key_of(page);
-        if (key == 0) key = msg.route_key;
-        const unsigned target = lane_of(key, lanes_);
-        if (target != lane()) {
-          Message copy = msg;
-          copy.route_key = key;
-          post_to_lane(target, [this, copy = std::move(copy)]() mutable {
-            dispatch_request(copy);
-          });
-          return;
-        }
-      }
+      if (repost_to_page_lane(msg, page)) return;
       if (auto* cm = cm_for(protocol)) cm->on_message(msg.src, page, d);
       return;
     }
-    case MsgType::kPageBatchFetchReq:
-    case MsgType::kPageBatchFetchResp: {
+    case MsgType::kPageFetchReq:
+    case MsgType::kPageFetchResp: {
       Decoder d(msg.payload);
       const auto protocol = static_cast<ProtocolId>(d.u8());
+      // Every entry shares one route key; the first page stands for all.
+      Decoder first = d;
+      (void)first.u32();
+      const GlobalAddress page = first.addr();
+      if (first.ok() && repost_to_page_lane(msg, page)) return;
       if (auto* cm = cm_for(protocol)) {
-        if (msg.type == MsgType::kPageBatchFetchReq) {
-          cm->on_batch_fetch(msg.src, d);
+        if (msg.type == MsgType::kPageFetchReq) {
+          cm->on_page_fetch(msg.src, d);
         } else {
-          cm->on_batch_grant(msg.src, d);
+          cm->on_page_fetch_resp(msg.src, d);
         }
       }
       return;

@@ -63,17 +63,14 @@ namespace khz::core {
 
 struct NodeConfig {
   NodeId id = 0;
-  /// The node that bootstraps region 0 / the address map and (by default)
-  /// acts as the single cluster's manager.
+  /// The node that bootstraps region 0 / the address map.
   NodeId genesis = 0;
-  NodeId cluster_manager = 0;
   /// "Each cluster has one or more designated cluster managers"
-  /// (Section 3.1). When non-empty this overrides cluster_manager; entry 0
-  /// is the primary. Every manager accumulates location hints; address
-  /// space is partitioned between them (manager k grants chunk numbers
-  /// congruent to k mod M) so grants never collide. The address map's
-  /// authority remains the genesis node.
-  std::vector<NodeId> cluster_managers;
+  /// (Section 3.1). Entry 0 is the primary; empty means {0}. Every manager
+  /// accumulates location hints; address space is partitioned between them
+  /// (manager k grants chunk numbers congruent to k mod M) so grants never
+  /// collide. The address map's authority remains the genesis node.
+  std::vector<NodeId> cluster_managers{0};
   /// Initial membership (all peers, including self).
   std::vector<NodeId> peers;
 
@@ -347,8 +344,7 @@ class Node final : public consistency::CmHost,
   }
   /// All cluster managers, primary first.
   [[nodiscard]] std::vector<NodeId> managers() const override {
-    if (!config_.cluster_managers.empty()) return config_.cluster_managers;
-    return {config_.cluster_manager};
+    return config_.cluster_managers;
   }
   /// True when this node serves the cluster-manager role.
   [[nodiscard]] bool is_manager() const override {
@@ -388,7 +384,7 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] NodeId self() const override { return config_.id; }
   void send_cm(NodeId peer, consistency::ProtocolId protocol,
                const GlobalAddress& page, Bytes payload) override;
-  void send_page_batch(NodeId peer, consistency::ProtocolId protocol,
+  void send_page_fetch(NodeId peer, consistency::ProtocolId protocol,
                        bool request, Bytes payload,
                        std::uint64_t route_key) override;
   [[nodiscard]] std::uint64_t route_key_of(const GlobalAddress& page) override;
@@ -642,6 +638,10 @@ class Node final : public consistency::CmHost,
   /// false = already on the owning lane (or the region is not homed here,
   /// a pure-metadata miss path any lane may serve).
   bool hop_home(const net::Message& m, const GlobalAddress& addr);
+  /// Re-posts a CM message onto the lane of `page`'s region (the local
+  /// resolution wins over the sender's route key). True = re-posted, the
+  /// caller must return immediately.
+  bool repost_to_page_lane(const net::Message& msg, const GlobalAddress& page);
 
   NodeConfig config_;
   net::Transport& transport_;

@@ -315,15 +315,19 @@ void Node::leave(StatusCb cb) {
   };
 
   // Migrate homed regions one at a time; a failed hand-off aborts the
-  // departure (the operator can retry — data must never be orphaned).
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, bases, targets, finish, step, cb](std::size_t i) {
+  // departure (the operator can retry — data must never be orphaned). The
+  // in-flight hand-off's callback owns the chain; the step itself holds
+  // only a weak reference, so the chain is freed once it ends.
+  using Step = std::function<void(std::size_t)>;
+  auto step = std::make_shared<Step>();
+  *step = [this, bases, targets, finish, weak = std::weak_ptr<Step>(step),
+           cb](std::size_t i) {
     if (i >= bases->size()) {
       finish();
       return;
     }
     const NodeId target = targets[i % targets.size()];
-    migrate((*bases)[i], target, [this, i, step, cb](Status s) {
+    migrate((*bases)[i], target, [i, step = weak.lock(), cb](Status s) {
       if (!s.ok()) {
         cb(s);
         return;

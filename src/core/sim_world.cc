@@ -8,8 +8,8 @@ NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
   NodeConfig cfg;
   cfg.id = id;
   cfg.genesis = 0;
-  cfg.cluster_manager = 0;
-  for (std::size_t m = 0; m < opts.managers && m < count; ++m) {
+  // Node 0 is the default (primary) manager; add the others.
+  for (std::size_t m = 1; m < opts.managers && m < count; ++m) {
     cfg.cluster_managers.push_back(static_cast<NodeId>(m));
   }
   for (std::size_t p = 0; p < count; ++p) {

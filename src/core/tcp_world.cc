@@ -16,7 +16,6 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
     NodeConfig cfg;
     cfg.id = id;
     cfg.genesis = 0;
-    cfg.cluster_manager = 0;
     for (std::size_t p = 0; p < opts.nodes; ++p) {
       cfg.peers.push_back(static_cast<NodeId>(p));
     }

@@ -33,8 +33,6 @@ std::string_view to_string(MsgType t) {
     case MsgType::kPageFetchResp: return "PageFetchResp";
     case MsgType::kReplicaPush: return "ReplicaPush";
     case MsgType::kReplicaDrop: return "ReplicaDrop";
-    case MsgType::kPageBatchFetchReq: return "PageBatchFetchReq";
-    case MsgType::kPageBatchFetchResp: return "PageBatchFetchResp";
     case MsgType::kCm: return "Cm";
     case MsgType::kMapMutateReq: return "MapMutateReq";
     case MsgType::kMapMutateResp: return "MapMutateResp";
@@ -72,7 +70,6 @@ bool is_response(MsgType t) {
     case MsgType::kFreeResp:
     case MsgType::kGetAttrResp:
     case MsgType::kSetAttrResp:
-    case MsgType::kPageFetchResp:
     case MsgType::kMapMutateResp:
     case MsgType::kLocateResp:
     case MsgType::kObjInvokeResp:

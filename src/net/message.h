@@ -53,17 +53,13 @@ enum class MsgType : std::uint16_t {
   kSetAttrReq,   // any node -> region home: replace the attribute block
   kSetAttrResp,  // home -> requester: acceptance (home journals the change)
 
-  // Page data plane
+  // Page data plane. A fetch carries N >= 1 pages: u8 protocol id, then the
+  // protocol's encoding. One-way both ways, routed by route_key; the
+  // protocol's per-page timers retry, not the RPC layer.
   kPageFetchReq,   // CM/requester -> page home: send bytes (and/or ownership)
-  kPageFetchResp,  // home -> requester: page bytes + version, or Nack
+  kPageFetchResp,  // home -> requester: the grants it could decide at once
   kReplicaPush,     // one-way: maintain min-replica count / eviction push
   kReplicaDrop,     // one-way: "I dropped my copy of this page"
-  // Batched data plane: one message carries fetches/grants for a list of
-  // pages (multi-page lock pipeline). Payload: u8 protocol id, then the
-  // protocol's batch encoding. One-way in both directions — the per-page
-  // protocol timers provide the retry path, not the RPC layer.
-  kPageBatchFetchReq,
-  kPageBatchFetchResp,
 
   // Consistency-manager channel: opaque protocol payload (u8 protocol id +
   // protocol encoding), delivered to the page's CM on the receiving node.
@@ -165,8 +161,8 @@ struct Message {
 
 /// True for rpc_id-correlated reply types (the issuing RpcEngine consumes
 /// them). kNack counts: backpressure replies correlate like responses.
-/// kPageBatchFetchResp does NOT: batch grants are one-way data-plane
-/// messages replayed through the protocol handlers.
+/// kPageFetchResp does NOT: fetch grants are one-way data-plane messages
+/// replayed through the protocol handlers.
 [[nodiscard]] bool is_response(MsgType t);
 
 /// Which lane of a `lanes`-lane node should run this message's handler.

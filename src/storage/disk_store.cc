@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "common/log.h"
@@ -24,34 +23,6 @@ DiskStore::DiskStore(fs::path root, std::size_t capacity_pages,
   SegmentConfig cfg;
   cfg.segment_bytes = segment_bytes;
   segments_ = std::make_unique<SegmentStore>(root_ / "segments", cfg);
-  // Migrate any pre-segment-store layout (one "<hi>_<lo>.page" file per
-  // page) into the log, so a node upgraded in place keeps its data.
-  std::size_t migrated = 0;
-  for (const auto& entry : fs::directory_iterator(root_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (!name.ends_with(".page")) continue;
-    unsigned long long hi = 0;
-    unsigned long long lo = 0;
-    if (std::sscanf(name.c_str(), "%16llx_%16llx.page", &hi, &lo) != 2) {
-      continue;
-    }
-    std::ifstream in(entry.path(), std::ios::binary | std::ios::ate);
-    if (!in) continue;
-    Bytes data(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-    if (!in) continue;
-    if (segments_->put(GlobalAddress{hi, lo}, data).ok()) {
-      fs::remove(entry.path(), ec);
-      ++migrated;
-    }
-  }
-  if (migrated > 0) {
-    (void)segments_->commit();
-    KHZ_INFO("disk: migrated %zu legacy page files into the segment log",
-             migrated);
-  }
   journal_ = std::make_unique<MetaJournal>(root_ / "meta.journal");
 }
 

@@ -39,8 +39,7 @@ namespace khz::storage {
 class DiskStore {
  public:
   /// Opens (creating if needed) the store under `root`. capacity_pages == 0
-  /// means unbounded. Pre-segment-store page files (`*.page`) found under
-  /// the root are migrated into the segment log and removed.
+  /// means unbounded.
   explicit DiskStore(std::filesystem::path root,
                      std::size_t capacity_pages = 0,
                      std::uint64_t segment_bytes = 8ull << 20);

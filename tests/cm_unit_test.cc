@@ -25,11 +25,13 @@ constexpr NodeId kPeer = 2;
 /// drives message delivery and timer firing by hand.
 class MockHost final : public CmHost {
  public:
+  enum class Kind { kCm, kFetchReq, kFetchResp };
   struct Sent {
     NodeId to;
     ProtocolId protocol;
-    GlobalAddress page;
+    GlobalAddress page;  // a fetch message's first page
     Bytes payload;
+    Kind kind = Kind::kCm;
   };
   struct Timer {
     std::uint64_t id;
@@ -42,6 +44,14 @@ class MockHost final : public CmHost {
   void send_cm(NodeId peer, ProtocolId protocol, const GlobalAddress& page,
                Bytes payload) override {
     sent.push_back({peer, protocol, page, std::move(payload)});
+  }
+  void send_page_fetch(NodeId peer, ProtocolId protocol, bool request,
+                       Bytes payload, std::uint64_t) override {
+    Decoder d(payload);
+    (void)d.u32();
+    const GlobalAddress first = d.addr();
+    sent.push_back({peer, protocol, first, std::move(payload),
+                    request ? Kind::kFetchReq : Kind::kFetchResp});
   }
   PageInfo& page_info(const GlobalAddress& page) override {
     auto [it, inserted] = pages_.try_emplace(page);
@@ -94,8 +104,20 @@ class MockHost final : public CmHost {
     return false;
   }
 
-  /// Pops the oldest captured message.
+  /// Fires every pending zero-delay timer (the same-turn fetch flush).
+  void settle() {
+    for (std::size_t i = 0; i < timers.size(); ++i) {
+      auto& t = timers[i];
+      if (t.cancelled || t.delay != 0 || !t.fn) continue;
+      auto fn = std::move(t.fn);
+      t.cancelled = true;
+      fn();
+    }
+  }
+
+  /// Pops the oldest captured message, once the current turn has flushed.
   Sent take() {
+    settle();
     EXPECT_FALSE(sent.empty());
     Sent s = std::move(sent.front());
     sent.pop_front();
@@ -142,6 +164,56 @@ void deliver(ConsistencyManager& cm, NodeId from, const Bytes& payload,
   cm.on_message(from, page, d);
 }
 
+/// Delivers a kPageFetchReq payload: u32 n, n * { addr, u8 mode }.
+void deliver_fetch(
+    ConsistencyManager& cm, NodeId from,
+    const std::vector<std::pair<GlobalAddress, LockMode>>& entries) {
+  Encoder e;
+  e.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [page, mode] : entries) {
+    e.addr(page);
+    e.u8(static_cast<std::uint8_t>(mode));
+  }
+  const Bytes payload = std::move(e).take();
+  Decoder d(payload);
+  cm.on_page_fetch(from, d);
+}
+void deliver_fetch(ConsistencyManager& cm, NodeId from, LockMode mode) {
+  deliver_fetch(cm, from, {{kPage, mode}});
+}
+
+/// The entries of a captured kPageFetchReq.
+std::vector<std::pair<GlobalAddress, LockMode>> fetch_entries(
+    const MockHost::Sent& s) {
+  EXPECT_EQ(s.kind, MockHost::Kind::kFetchReq);
+  Decoder d(s.payload);
+  std::vector<std::pair<GlobalAddress, LockMode>> out(d.u32());
+  for (auto& [page, mode] : out) {
+    page = d.addr();
+    mode = static_cast<LockMode>(d.u8());
+  }
+  return out;
+}
+
+/// Mode of a captured one-page kPageFetchReq.
+LockMode fetch_mode(const MockHost::Sent& s) {
+  const auto entries = fetch_entries(s);
+  EXPECT_EQ(entries.size(), 1u);
+  return entries.empty() ? LockMode::kNone : entries[0].second;
+}
+
+/// CREW subtype of a captured kCm message, or of the first entry of a
+/// captured kPageFetchResp.
+CrewManager::Sub crew_sub(const MockHost::Sent& s) {
+  Decoder d(s.payload);
+  if (s.kind == MockHost::Kind::kFetchResp) {
+    (void)d.u32();
+    (void)d.addr();
+  }
+  EXPECT_NE(s.kind, MockHost::Kind::kFetchReq);
+  return static_cast<CrewManager::Sub>(d.u8());
+}
+
 // ---------------------------------------------------------------------------
 // CREW requester side
 // ---------------------------------------------------------------------------
@@ -161,7 +233,7 @@ TEST(CrewUnit, ColdReadSendsReadReqToHomeAndGrantsOnData) {
   EXPECT_FALSE(called);  // no local copy: must go remote
   auto req = host.take();
   EXPECT_EQ(req.to, kHome);
-  EXPECT_EQ(subtype_of<Sub>(req.payload), Sub::kReadReq);
+  EXPECT_EQ(fetch_mode(req), LockMode::kRead);
 
   deliver(cm, kHome, cm_payload(Sub::kData, [](Encoder& e) {
             e.u64(5);
@@ -200,7 +272,7 @@ TEST(CrewUnit, ColdWriteGetsOwnership) {
     EXPECT_TRUE(s.ok());
   });
   auto req = host.take();
-  EXPECT_EQ(subtype_of<Sub>(req.payload), Sub::kWriteReq);
+  EXPECT_EQ(fetch_mode(req), LockMode::kWrite);
   deliver(cm, kHome, cm_payload(Sub::kOwner, [](Encoder& e) {
             e.u64(3);
             e.bytes(Bytes(4096, 0xBB));
@@ -260,13 +332,34 @@ TEST(CrewUnit, SecondReaderPiggybacksOnOutstandingRequest) {
   int grants = 0;
   cm.acquire(kPage, LockMode::kRead, [&](Status s) { grants += s.ok(); });
   cm.acquire(kPage, LockMode::kRead, [&](Status s) { grants += s.ok(); });
-  EXPECT_EQ(host.sent.size(), 1u);  // one ReadReq covers both waiters
+  host.settle();
+  EXPECT_EQ(host.sent.size(), 1u);  // one read fetch covers both waiters
   deliver(cm, kHome, cm_payload(Sub::kData, [](Encoder& e) {
             e.u64(1);
             e.bytes(Bytes(4096, 0));
           }));
   EXPECT_EQ(grants, 2);
   EXPECT_EQ(host.page_info(kPage).read_holds, 2u);
+}
+
+TEST(CrewUnit, FetchesOfOneTurnShareOneMessage) {
+  // Acquires and prefetches issued in one execution turn toward one home
+  // leave as one kPageFetchReq carrying every page.
+  MockHost host;
+  CrewManager cm(host);
+  constexpr GlobalAddress kOther{0, 0x2000};
+  cm.acquire(kPage, LockMode::kRead, [](Status) {});
+  cm.prefetch(kOther, LockMode::kWrite, [](Status) {});
+  EXPECT_TRUE(host.sent.empty());  // held until the turn ends
+  auto req = host.take();
+  EXPECT_TRUE(host.sent.empty());
+  EXPECT_EQ(req.to, kHome);
+  const auto entries = fetch_entries(req);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].first, kPage);
+  EXPECT_EQ(entries[0].second, LockMode::kRead);
+  EXPECT_EQ(entries[1].first, kOther);
+  EXPECT_EQ(entries[1].second, LockMode::kWrite);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,10 +459,10 @@ TEST(CrewUnit, HomeServesReadFromOwnCopy) {
   info.homed_locally = true;
   info.sharers = {kHome};
 
-  deliver(cm, kPeer, cm_payload(Sub::kReadReq));
+  deliver_fetch(cm, kPeer, LockMode::kRead);
   auto resp = host.take();
   EXPECT_EQ(resp.to, kPeer);
-  EXPECT_EQ(subtype_of<Sub>(resp.payload), Sub::kData);
+  EXPECT_EQ(crew_sub(resp), Sub::kData);
   EXPECT_TRUE(info.sharers.contains(kPeer));
 }
 
@@ -385,17 +478,17 @@ TEST(CrewUnit, HomeWriteInvalidatesCopysetBeforeGrant) {
   info.homed_locally = true;
   info.sharers = {kHome, 2, 3};
 
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));
+  deliver_fetch(cm, kPeer, LockMode::kWrite);
   // One invalidation to node 3 (kPeer==2 is the requester, home is self).
   auto inval = host.take();
   EXPECT_EQ(inval.to, 3u);
-  EXPECT_EQ(subtype_of<Sub>(inval.payload), Sub::kInvalidate);
+  EXPECT_EQ(crew_sub(inval), Sub::kInvalidate);
   EXPECT_TRUE(host.sent.empty());  // grant waits for the ack
 
   deliver(cm, 3, cm_payload(Sub::kInvAck));
   auto grant = host.take();
   EXPECT_EQ(grant.to, kPeer);
-  EXPECT_EQ(subtype_of<Sub>(grant.payload), Sub::kOwner);
+  EXPECT_EQ(crew_sub(grant), Sub::kOwner);
   EXPECT_EQ(info.owner, kPeer);
   EXPECT_EQ(info.sharers, (std::set<NodeId>{kPeer}));
   EXPECT_EQ(info.state, PageState::kInvalid);  // home's copy is now stale
@@ -413,18 +506,18 @@ TEST(CrewUnit, HomeQueuesSecondRequestUntilFirstCompletes) {
   info.homed_locally = true;
   info.sharers = {kHome, 3};
 
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));
+  deliver_fetch(cm, kPeer, LockMode::kWrite);
   (void)host.take();  // invalidation to 3; transaction is now busy
-  deliver(cm, 3, cm_payload(Sub::kWriteReq));  // second writer queues
+  deliver_fetch(cm, 3, LockMode::kWrite);  // second writer queues
   EXPECT_TRUE(host.sent.empty());
 
   deliver(cm, 3, cm_payload(Sub::kInvAck));
   // Grant to the first writer, then the queued request starts (a transfer
   // request to the new owner).
-  EXPECT_EQ(subtype_of<Sub>(host.take().payload), Sub::kOwner);
+  EXPECT_EQ(crew_sub(host.take()), Sub::kOwner);
   auto xfer = host.take();
   EXPECT_EQ(xfer.to, kPeer);  // current owner
-  EXPECT_EQ(subtype_of<Sub>(xfer.payload), Sub::kXferReq);
+  EXPECT_EQ(crew_sub(xfer), Sub::kXferReq);
 }
 
 TEST(CrewUnit, HomeDuplicateRequestIsIgnored) {
@@ -439,9 +532,9 @@ TEST(CrewUnit, HomeDuplicateRequestIsIgnored) {
   info.homed_locally = true;
   info.sharers = {kHome, 3};
 
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));
+  deliver_fetch(cm, kPeer, LockMode::kWrite);
   (void)host.take();
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));  // retransmission
+  deliver_fetch(cm, kPeer, LockMode::kWrite);  // retransmission
   EXPECT_TRUE(host.sent.empty());
 }
 
@@ -457,21 +550,21 @@ TEST(CrewUnit, HomeTimesOutDeadSharerAndProceeds) {
   info.homed_locally = true;
   info.sharers = {kHome, 3};
 
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));
+  deliver_fetch(cm, kPeer, LockMode::kWrite);
   (void)host.take();                    // invalidation to dead node 3
   ASSERT_TRUE(host.fire_next_timer());  // home timeout
   auto grant = host.take();
-  EXPECT_EQ(subtype_of<Sub>(grant.payload), Sub::kOwner);
+  EXPECT_EQ(crew_sub(grant), Sub::kOwner);
   EXPECT_FALSE(info.sharers.contains(3));
 }
 
 TEST(CrewUnit, NonHomeRefusesMisdirectedRequest) {
   MockHost host;  // self=1, home=0: we are NOT the home
   CrewManager cm(host);
-  deliver(cm, kPeer, cm_payload(Sub::kReadReq));
+  deliver_fetch(cm, kPeer, LockMode::kRead);
   auto nack = host.take();
   EXPECT_EQ(nack.to, kPeer);
-  EXPECT_EQ(subtype_of<Sub>(nack.payload), Sub::kNack);
+  EXPECT_EQ(crew_sub(nack), Sub::kNack);
 }
 
 TEST(CrewUnit, NonHomeReplicaServesReadsButNotWrites) {
@@ -483,14 +576,53 @@ TEST(CrewUnit, NonHomeReplicaServesReadsButNotWrites) {
   host.store_page(kPage, Bytes(4096, 0x42));
   host.page_info(kPage).state = PageState::kShared;
 
-  deliver(cm, kPeer, cm_payload(Sub::kReadReq));
+  deliver_fetch(cm, kPeer, LockMode::kRead);
   auto data = host.take();
   EXPECT_EQ(data.to, kPeer);
-  EXPECT_EQ(subtype_of<Sub>(data.payload), Sub::kData);
+  EXPECT_EQ(crew_sub(data), Sub::kData);
 
-  deliver(cm, kPeer, cm_payload(Sub::kWriteReq));
+  deliver_fetch(cm, kPeer, LockMode::kWrite);
   auto nack = host.take();
-  EXPECT_EQ(subtype_of<Sub>(nack.payload), Sub::kNack);
+  EXPECT_EQ(crew_sub(nack), Sub::kNack);
+}
+
+TEST(CrewUnit, HomeAnswersImmediateGrantsInOneResponse) {
+  // One two-page fetch: the home can serve the first page at once (into
+  // the kPageFetchResp), but the second needs an invalidation round, whose
+  // grant later travels per page.
+  MockHost host;
+  host.set_self(kHome);
+  host.set_home(kHome);
+  CrewManager cm(host);
+  constexpr GlobalAddress kOther{0, 0x2000};
+  for (const GlobalAddress& p : {kPage, kOther}) {
+    host.store_page(p, Bytes(4096, 3));
+    auto& info = host.page_info(p);
+    info.state = PageState::kShared;
+    info.owner = kHome;
+    info.homed_locally = true;
+    info.sharers = {kHome, 3};
+  }
+
+  deliver_fetch(cm, kPeer,
+                {{kPage, LockMode::kRead}, {kOther, LockMode::kWrite}});
+  auto inval = host.take();
+  EXPECT_EQ(inval.to, 3u);
+  EXPECT_EQ(inval.page, kOther);
+  EXPECT_EQ(crew_sub(inval), Sub::kInvalidate);
+  auto resp = host.take();
+  EXPECT_EQ(resp.kind, MockHost::Kind::kFetchResp);
+  EXPECT_EQ(resp.to, kPeer);
+  EXPECT_EQ(resp.page, kPage);
+  EXPECT_EQ(crew_sub(resp), Sub::kData);
+  EXPECT_EQ(Decoder(resp.payload).u32(), 1u);  // only the decided page
+  EXPECT_TRUE(host.sent.empty());
+
+  deliver(cm, 3, cm_payload(Sub::kInvAck), kOther);
+  auto grant = host.take();
+  EXPECT_EQ(grant.kind, MockHost::Kind::kCm);
+  EXPECT_EQ(grant.to, kPeer);
+  EXPECT_EQ(crew_sub(grant), Sub::kOwner);
 }
 
 // ---------------------------------------------------------------------------

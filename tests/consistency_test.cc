@@ -15,9 +15,16 @@ using consistency::ProtocolId;
 
 Bytes fill(std::size_t n, std::uint8_t v) { return Bytes(n, v); }
 
+/// Consistency traffic: per-page CM messages plus page fetches.
 std::uint64_t cm_messages(SimWorld& world) {
-  auto it = world.net().stats().per_type.find(net::MsgType::kCm);
-  return it == world.net().stats().per_type.end() ? 0 : it->second;
+  const auto& per_type = world.net().stats().per_type;
+  std::uint64_t n = 0;
+  for (const auto t : {net::MsgType::kCm, net::MsgType::kPageFetchReq,
+                       net::MsgType::kPageFetchResp}) {
+    auto it = per_type.find(t);
+    if (it != per_type.end()) n += it->second;
+  }
+  return n;
 }
 
 // ---------------------------------------------------------------------------

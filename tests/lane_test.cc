@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 
 #include "common/lane.h"
 #include "core/client.h"
@@ -158,7 +159,7 @@ TEST(Lanes, TimerFiresOnOwningLane) {
 // lanes=1 is byte-for-byte the legacy node
 // ---------------------------------------------------------------------------
 
-std::uint64_t run_workload_messages(unsigned lanes) {
+std::map<net::MsgType, std::uint64_t> run_workload_messages(unsigned lanes) {
   SimWorld world({.nodes = 3, .lanes = lanes});
   const std::uint64_t bytes = 8 * kPage;
   auto base = world.create_region(0, bytes);
@@ -168,18 +169,18 @@ std::uint64_t run_workload_messages(unsigned lanes) {
   EXPECT_TRUE(got.ok());
   EXPECT_TRUE(world.migrate(0, base.value(), 1).ok());
   EXPECT_TRUE(world.unreserve(2, base.value()).ok());
-  return world.net().stats().messages_sent;
+  return world.net().stats().per_type;
 }
 
 TEST(Lanes, LanesOneMatchesLegacyMessageForMessage) {
-  // The whole lane machinery must vanish at lanes=1: same rpc ids, same
-  // hops, same retries — so the exact same number of messages on the wire
-  // as the pre-lane node for an identical deterministic workload.
-  EXPECT_EQ(run_workload_messages(1), run_workload_messages(1));
-  const std::uint64_t legacy = run_workload_messages(1);
-  SimWorld defaulted({.nodes = 3});  // lanes unset = legacy default
+  // Lanes split a node's work across executors; they must not change the
+  // protocol: the same deterministic workload sends exactly the same
+  // messages, kind for kind, at lanes=4 as at lanes=1.
+  const auto one = run_workload_messages(1);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(run_workload_messages(4), one);
+  SimWorld defaulted({.nodes = 3});  // lanes unset = one lane
   EXPECT_EQ(defaulted.node(0).lanes(), 1u);
-  EXPECT_GT(legacy, 0u);
 }
 
 // ---------------------------------------------------------------------------

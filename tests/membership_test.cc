@@ -103,7 +103,7 @@ TEST(MembershipTest, LateJoinerLearnsMembershipAndParticipates) {
   NodeConfig cfg;
   cfg.id = 7;
   cfg.genesis = 0;
-  cfg.cluster_manager = 0;
+  cfg.cluster_managers = {0};
   cfg.peers = {0, 7};
   Node late(cfg, transport);
   late.start();

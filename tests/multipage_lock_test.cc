@@ -1,4 +1,4 @@
-// Pipelined multi-page lock acquisition and the batched page data plane:
+// Pipelined multi-page lock acquisition and the multi-page fetch messages:
 // coalesced fetches, all-or-nothing rollback, ordered-acquisition progress
 // under overlap, and resilience to message loss/duplication.
 #include <gtest/gtest.h>
@@ -33,16 +33,16 @@ TEST(MultiPageLock, ColdReadCoalescesFetchesIntoOneBatch) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), pattern(bytes, 0x40));
 
-  // All 16 cold pages ride one batched fetch + one batched response
-  // instead of 16 request/reply pairs.
+  // All 16 cold pages ride one fetch + one response instead of 16
+  // request/reply pairs.
   const auto& per_type = world.net().stats().per_type;
   auto count = [&](MsgType t) {
     auto it = per_type.find(t);
     return it == per_type.end() ? std::uint64_t{0} : it->second;
   };
-  EXPECT_EQ(count(MsgType::kPageBatchFetchReq), 1u);
-  EXPECT_GE(count(MsgType::kPageBatchFetchResp), 1u);
-  EXPECT_EQ(count(MsgType::kCm), 0u);  // nothing fell back to per-page
+  EXPECT_EQ(count(MsgType::kPageFetchReq), 1u);
+  EXPECT_EQ(count(MsgType::kPageFetchResp), 1u);
+  EXPECT_EQ(count(MsgType::kCm), 0u);  // every grant rode the response
 
   const auto pages = world.node(1)
                          .metrics()
@@ -50,11 +50,12 @@ TEST(MultiPageLock, ColdReadCoalescesFetchesIntoOneBatch) {
                          .snapshot();
   EXPECT_EQ(pages.count, 1u);
   EXPECT_EQ(pages.max, 16u);
-  const auto rpc = world.node(1)
-                       .metrics()
-                       .histogram("crew.batch_rpc_us")
-                       .snapshot();
-  EXPECT_EQ(rpc.count, 1u);
+  // Every page's request -> grant round is timed, all in the one exchange.
+  const auto rounds = world.node(1)
+                          .metrics()
+                          .histogram("crew.round_us")
+                          .snapshot();
+  EXPECT_EQ(rounds.count, 16u);
 }
 
 TEST(MultiPageLock, ColdWriteLockAlsoBatches) {
@@ -69,7 +70,7 @@ TEST(MultiPageLock, ColdWriteLockAlsoBatches) {
   world.unlock(1, ctx.value());
 
   const auto& per_type = world.net().stats().per_type;
-  auto it = per_type.find(MsgType::kPageBatchFetchReq);
+  auto it = per_type.find(MsgType::kPageFetchReq);
   ASSERT_NE(it, per_type.end());
   EXPECT_EQ(it->second, 1u);
   const auto pages = world.node(1)
@@ -154,13 +155,13 @@ TEST(MultiPageLock, OverlappingRangeLocksBothMakeProgress) {
 }
 
 TEST(MultiPageLock, BatchFetchSurvivesDropAndDuplication) {
-  // Requester -> home loses and duplicates messages (lost batch requests
-  // fall back to the per-page retry path); home -> requester duplicates
+  // Requester -> home loses and duplicates messages (a lost fetch is
+  // re-sent by its pages' retry timers); home -> requester duplicates
   // grants (the unsolicited-grant guard must drop the replays). Drops on
   // the home -> sharer direction are excluded deliberately: a lost
   // invalidate makes the home presume the sharer dead after its timeout —
   // the protocol's documented availability tradeoff — which would leave a
-  // legitimately stale copy and has nothing to do with batching.
+  // legitimately stale copy and has nothing to do with multi-page fetches.
   SimWorld world({.nodes = 2, .seed = 7});
   net::LinkProfile to_home = net::LinkProfile::lan();
   to_home.drop_probability = 0.05;

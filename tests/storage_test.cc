@@ -379,28 +379,6 @@ TEST(DiskStore, MetaIsNotAPage) {
   EXPECT_EQ(d.size(), 0u);
 }
 
-TEST(DiskStore, MigratesLegacyPageFiles) {
-  TempDir tmp;
-  // Seed-era layout: one "<hi>_<lo>.page" file per page under the root.
-  fs::create_directories(tmp.path());
-  const auto legacy = [&](const char* name, std::uint8_t fill) {
-    std::ofstream out(tmp.path() / name, std::ios::binary);
-    const Bytes data = page(fill);
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-  };
-  legacy("0000000000000000_0000000000000000.page", 5);
-  legacy("0000000000000001_0000000000001000.page", 6);
-  DiskStore d(tmp.path());
-  EXPECT_EQ(d.size(), 2u);
-  EXPECT_EQ((*d.get({0, 0}))[0], 5);
-  EXPECT_EQ((*d.get({1, 0x1000}))[0], 6);
-  // The legacy files are gone; the pages live in the segment log now.
-  EXPECT_FALSE(fs::exists(tmp.path() / "0000000000000000_0000000000000000.page"));
-  DiskStore d2(tmp.path());
-  EXPECT_EQ(d2.size(), 2u);
-}
-
 TEST(DiskStore, MaybeCommitHonorsBytesThreshold) {
   TempDir tmp;
   DiskStore d(tmp.path());
