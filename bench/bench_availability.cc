@@ -22,7 +22,17 @@ using namespace khz;        // NOLINT
 using namespace khz::bench; // NOLINT
 using core::RegionAttrs;
 using core::SimWorld;
+using core::SimWorldOptions;
 using consistency::LockMode;
+
+/// `nodes` peers whose RPCs time out after 50 ms, so crashes are detected
+/// in little virtual time.
+SimWorldOptions fast_timeout(std::size_t nodes) {
+  SimWorldOptions o;
+  o.nodes = nodes;
+  o.rpc_timeout = 50'000;
+  return o;
+}
 
 struct AvailPoint {
   double available_fraction;
@@ -30,7 +40,7 @@ struct AvailPoint {
 };
 
 AvailPoint run(std::uint32_t min_replicas, int kill_count) {
-  SimWorld world({.nodes = 6, .rpc_timeout = 50'000});
+  SimWorld world(fast_timeout(6));
   RegionAttrs attrs;
   attrs.min_replicas = min_replicas;
 
@@ -73,8 +83,9 @@ AvailPoint run(std::uint32_t min_replicas, int kill_count) {
 // window in virtual microseconds, or -1 if writes never came back (the
 // expected outcome for min_replicas = 1: no surviving copy, no heir).
 std::int64_t write_unavailability_window(std::uint32_t min_replicas) {
-  SimWorld world({.nodes = 4, .rpc_timeout = 50'000,
-                  .ping_interval = 50'000});
+  SimWorldOptions opts = fast_timeout(4);
+  opts.ping_interval = 50'000;
+  SimWorld world(opts);
   RegionAttrs attrs;
   attrs.min_replicas = min_replicas;
   auto base = world.create_region(1, 4096, attrs);
@@ -127,7 +138,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nAcquire vs release error semantics (dead home):\n\n");
   {
-    SimWorld world({.nodes = 3, .rpc_timeout = 50'000});
+    SimWorld world(fast_timeout(3));
     auto base = world.create_region(1, 4096);
     if (!base.ok()) return 1;
     (void)world.get(2, {base.value(), 4096});
@@ -159,7 +170,10 @@ int main(int argc, char** argv) {
         "(retries=%llu)\n",
         world.node(2).background_queue_depth(),
         static_cast<unsigned long long>(
-            world.node(2).stats().background_retries));
+            world.node(2)
+                .metrics()
+                .counter("node.background_retries")
+                .value()));
   }
 
   std::printf(

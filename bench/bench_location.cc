@@ -118,8 +118,8 @@ ChurnResult run_churn(std::size_t nodes, bool anti_entropy) {
   opts.managers = kManagers;
   opts.link = net::LinkProfile::lan();
   opts.ping_interval = 300'000;  // detector on: verdicts retract hints
-  opts.hint_sync_interval = anti_entropy ? 250'000 : 0;
-  opts.free_space_ttl = 10'000'000;
+  opts.location.hint_sync_interval = anti_entropy ? 250'000 : 0;
+  opts.location.free_space_ttl = 10'000'000;
   opts.seed = 7;
   SimWorld world(opts);
 

@@ -8,8 +8,8 @@
 #include <tuple>
 
 #include "bench/bench_util.h"
-#include "core/address_map.h"
-#include "core/region_directory.h"
+#include "location/address_map.h"
+#include "location/region_directory.h"
 #include "net/message.h"
 #include "storage/memory_store.h"
 #include "storage/page_directory.h"
@@ -45,7 +45,7 @@ void BM_EncoderPrimitives(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderPrimitives);
 
-class BenchMapStore final : public core::MapPageStore {
+class BenchMapStore final : public location::MapPageStore {
  public:
   Bytes read_page(std::uint32_t index) override {
     auto it = pages_.find(index);
@@ -134,7 +134,10 @@ void sim_latency_section(bench::JsonReport& report, unsigned lanes) {
   constexpr std::uint64_t kPages = 32;
   constexpr int kRounds = 8;
 
-  core::SimWorld world({.nodes = 3, .lanes = lanes});
+  core::SimWorldOptions opts;
+  opts.nodes = 3;
+  opts.lanes = lanes;
+  core::SimWorld world(opts);
   auto base = world.create_region(0, kPages * 4096);
   if (!base.ok()) std::abort();
   for (std::uint64_t p = 0; p < kPages; ++p) {

@@ -64,15 +64,17 @@ Point run_sim_point(int pct) {
   // a dossier. Past the knee the client queue's worst-case wait alone is
   // 32 ms (limit * service_us), so the overloaded points must produce
   // dossiers while the underloaded ones stay quiet.
-  core::SimWorld world({.nodes = 3,
-                        .rpc_timeout = 50'000,
-                        .admission_client_queue = 64,
-                        .admission_protocol_queue = 512,
-                        .admission_replication_queue = 256,
-                        .admission_service_us = kServiceUs,
-                        .slow_op_deadline_fraction = 0.5,
-                        .flight_recorder_capacity = 64,
-                        .seed = 7 + static_cast<std::uint64_t>(pct)});
+  core::SimWorldOptions wopts;
+  wopts.nodes = 3;
+  wopts.rpc_timeout = 50'000;
+  wopts.admission = {.client_queue_limit = 64,
+                     .protocol_queue_limit = 512,
+                     .replication_queue_limit = 256,
+                     .service_us = kServiceUs};
+  wopts.slow_op_deadline_fraction = 0.5;
+  wopts.flight_recorder_capacity = 64;
+  wopts.seed = 7 + static_cast<std::uint64_t>(pct);
+  core::SimWorld world(wopts);
 
   // kRegions single-page regions homed on node 0, the paced server.
   std::vector<GlobalAddress> bases;
@@ -228,12 +230,14 @@ void tcp_spot_check(bench::JsonReport& report) {
   constexpr Micros kTcpServiceUs = 400;  // capacity 2500 ops/s
   constexpr double kTcpRate = 5000;      // ~2x capacity
   constexpr std::size_t kTcpRegions = 16;
-  core::TcpWorld world({.nodes = 2,
-                        .rpc_timeout = 100'000,
-                        .admission_client_queue = 32,
-                        .admission_protocol_queue = 512,
-                        .admission_replication_queue = 256,
-                        .admission_service_us = kTcpServiceUs});
+  core::TcpWorldOptions wopts;
+  wopts.nodes = 2;
+  wopts.rpc_timeout = 100'000;
+  wopts.admission = {.client_queue_limit = 32,
+                     .protocol_queue_limit = 512,
+                     .replication_queue_limit = 256,
+                     .service_us = kTcpServiceUs};
+  core::TcpWorld world(wopts);
   core::TcpClient setup(world, 0);
   std::vector<GlobalAddress> bases;
   for (std::size_t r = 0; r < kTcpRegions; ++r) {

@@ -96,12 +96,14 @@ struct LanePoint {
 /// admission controllers in parallel, so aggregate throughput should
 /// scale with L until the stream count stops covering every lane.
 LanePoint run_lanes(unsigned lanes, int ops_per_stream) {
-  SimWorld world({.nodes = 3,
-                  .admission_client_queue = 256,
-                  .admission_protocol_queue = 1024,
-                  .admission_replication_queue = 256,
-                  .admission_service_us = 50,
-                  .lanes = lanes});
+  core::SimWorldOptions opts;
+  opts.nodes = 3;
+  opts.admission = {.client_queue_limit = 256,
+                    .protocol_queue_limit = 1024,
+                    .replication_queue_limit = 256,
+                    .service_us = 50};
+  opts.lanes = lanes;
+  SimWorld world(opts);
   constexpr int kStreams = 16;
   struct Stream {
     AddressRange region;

@@ -69,6 +69,8 @@ struct AdmissionConfig {
   /// Pacing: one dispatched message per service_us of scheduler time.
   /// 0 = drain the whole backlog on the next tick.
   Micros service_us = 0;
+
+  bool operator==(const AdmissionConfig&) const = default;
 };
 
 class AdmissionController {

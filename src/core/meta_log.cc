@@ -7,6 +7,8 @@
 
 namespace khz::core {
 
+using location::RegionDescriptor;
+
 // Journal record tags (first byte of each record):
 //   1  region upsert        (encoded RegionDescriptor)
 //   2  region erase         (base address)

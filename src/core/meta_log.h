@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/region.h"
+#include "location/region.h"
 #include "storage/hierarchy.h"
 
 namespace khz::core {
@@ -31,7 +31,7 @@ class MetaLog {
   struct Snapshot {
     std::uint64_t granted_bytes = 0;
     std::vector<AddressRange> pool;
-    std::map<GlobalAddress, RegionDescriptor> regions;
+    std::map<GlobalAddress, location::RegionDescriptor> regions;
     std::map<GlobalAddress, Version> page_versions;
   };
   using SnapshotFn = std::function<Snapshot()>;
@@ -44,7 +44,7 @@ class MetaLog {
   MetaLog(storage::StorageHierarchy& storage, NodeId id, SnapshotFn snapshot);
 
   // -- mutation records (one O(1) append each) ---------------------------
-  void record_region(const RegionDescriptor& desc);
+  void record_region(const location::RegionDescriptor& desc);
   void record_region_erase(const GlobalAddress& base);
   void record_pool(std::uint64_t granted_bytes,
                    const std::vector<AddressRange>& pool);

@@ -10,6 +10,9 @@ namespace khz::core {
 using consistency::LockContext;
 using consistency::LockMode;
 using consistency::ProtocolId;
+using location::kMapRegionBase;
+using location::kMapRegionSize;
+using location::map_region_descriptor;
 using net::Message;
 using net::MsgType;
 using storage::PageState;
@@ -37,31 +40,31 @@ RpcPolicy make_policy(const NodeConfig& c) {
   return p;
 }
 
-AdmissionConfig make_admission(const NodeConfig& c) {
-  AdmissionConfig a;
-  a.client_queue_limit = c.admission_client_queue;
-  a.protocol_queue_limit = c.admission_protocol_queue;
-  a.replication_queue_limit = c.admission_replication_queue;
-  a.service_us = c.admission_service_us;
-  return a;
-}
-
-location::FabricConfig make_fabric(const NodeConfig& c, unsigned lanes) {
-  location::FabricConfig f;
-  f.hint_sync_interval = c.hint_sync_interval;
-  f.refresh_interval = c.refresh_interval;
-  f.refresh_age_us = c.refresh_age_us;
-  f.refresh_hot_accesses = c.refresh_hot_accesses;
-  f.free_space_ttl = c.free_space_ttl;
-  f.lanes = lanes;
-  return f;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Construction / bootstrap
 // ---------------------------------------------------------------------------
+
+NodeConfig member_config(const NodeConfig& knobs, NodeId id,
+                         std::size_t nodes, std::size_t managers,
+                         const std::filesystem::path& disk_root) {
+  NodeConfig cfg = knobs;
+  cfg.id = id;
+  cfg.genesis = 0;
+  cfg.cluster_managers = {0};  // node 0 is the primary manager
+  for (std::size_t m = 1; m < managers && m < nodes; ++m) {
+    cfg.cluster_managers.push_back(static_cast<NodeId>(m));
+  }
+  cfg.peers.clear();
+  for (std::size_t p = 0; p < nodes; ++p) {
+    cfg.peers.push_back(static_cast<NodeId>(p));
+  }
+  cfg.disk_dir = disk_root.empty()
+                     ? std::filesystem::path{}
+                     : disk_root / ("node" + std::to_string(id));
+  return cfg;
+}
 
 Node::Node(NodeConfig config, net::Transport& transport)
     : config_(std::move(config)),
@@ -105,7 +108,7 @@ Node::Node(NodeConfig config, net::Transport& transport)
       flight_(config_.flight_recorder_capacity),
       series_(config_.stats_series_capacity),
       fabric_(std::make_unique<location::Fabric>(
-          *this, metrics_, make_fabric(config_, lanes_))),
+          *this, metrics_, config_.location, lanes_)),
       regions_(fabric_->regions()),
       cluster_(fabric_->cluster()),
       engines_([&] {
@@ -125,7 +128,7 @@ Node::Node(NodeConfig config, net::Transport& transport)
         std::vector<std::unique_ptr<AdmissionController>> v;
         for (unsigned l = 0; l < lanes_; ++l) {
           v.push_back(std::make_unique<AdmissionController>(
-              *this, make_admission(config_), metrics_));
+              *this, config_.admission, metrics_));
         }
         return v;
       }()) {
@@ -144,12 +147,7 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.locks_failed = &metrics_.counter("node.locks_failed");
   ins_.reads = &metrics_.counter("node.reads");
   ins_.writes = &metrics_.counter("node.writes");
-  ins_.resolve_cache_hits = &metrics_.counter("node.resolve_cache_hits");
-  ins_.resolve_manager_hits = &metrics_.counter("node.resolve_manager_hits");
-  ins_.resolve_map_walks = &metrics_.counter("node.resolve_map_walks");
-  ins_.resolve_cluster_walks = &metrics_.counter("node.resolve_cluster_walks");
   ins_.replica_pushes = &metrics_.counter("node.replica_pushes");
-  ins_.background_retries = &metrics_.counter("node.background_retries");
   ins_.deadline_expired = &metrics_.counter("rpc.deadline_expired.server");
   ins_.reserve_us = &metrics_.histogram("op.reserve_us");
   ins_.lock_read_us = &metrics_.histogram("op.lock.read_us");
@@ -157,12 +155,6 @@ Node::Node(NodeConfig config, net::Transport& transport)
   ins_.lock_write_shared_us = &metrics_.histogram("op.lock.write_shared_us");
   ins_.read_us = &metrics_.histogram("op.read_us");
   ins_.write_us = &metrics_.histogram("op.write_us");
-  ins_.resolve_region_dir_us = &metrics_.histogram("resolve.region_dir_us");
-  ins_.resolve_manager_hint_us =
-      &metrics_.histogram("resolve.manager_hint_us");
-  ins_.resolve_map_walk_us = &metrics_.histogram("resolve.map_walk_us");
-  ins_.resolve_cluster_walk_us =
-      &metrics_.histogram("resolve.cluster_walk_us");
   ins_.lock_pages = &metrics_.histogram("op.lock.pages");
   ins_.lock_window = &metrics_.histogram("op.lock.window_occupancy");
   ins_.scrapes_served = &metrics_.counter("telemetry.scrapes_served");
@@ -201,22 +193,6 @@ void Node::stop() {
     sample_timer_ = 0;
   }
   stop_storage_timers();
-}
-
-NodeStats Node::stats() const {
-  NodeStats s;
-  s.reserves = ins_.reserves->value();
-  s.locks_granted = ins_.locks_granted->value();
-  s.locks_failed = ins_.locks_failed->value();
-  s.reads = ins_.reads->value();
-  s.writes = ins_.writes->value();
-  s.resolve_cache_hits = ins_.resolve_cache_hits->value();
-  s.resolve_manager_hits = ins_.resolve_manager_hits->value();
-  s.resolve_map_walks = ins_.resolve_map_walks->value();
-  s.resolve_cluster_walks = ins_.resolve_cluster_walks->value();
-  s.replica_pushes = ins_.replica_pushes->value();
-  s.background_retries = ins_.background_retries->value();
-  return s;
 }
 
 obs::Histogram* Node::lock_hist(LockMode mode) {
@@ -521,7 +497,8 @@ void Node::on_message(Message msg) {
   // Drop work whose propagated deadline has already expired: the client's
   // engine has reflected the failure, nobody is waiting for this answer
   // (Section 3.5's "retried then reflected" — the reflection happened).
-  if (msg.deadline != 0 && now() > msg.deadline) {
+  if (msg.deadline != 0 &&
+      static_cast<std::uint64_t>(now()) > msg.deadline) {
     ins_.deadline_expired->inc();
     return;
   }

@@ -42,16 +42,16 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "consistency/cm.h"
-#include "core/address_map.h"
 #include "core/admission.h"
-#include "core/cluster.h"
 #include "core/meta_log.h"
 #include "core/lane_set.h"
-#include "core/region.h"
-#include "core/region_directory.h"
-#include "core/resolver.h"
 #include "core/rpc_engine.h"
+#include "location/address_map.h"
+#include "location/cluster.h"
 #include "location/fabric.h"
+#include "location/region.h"
+#include "location/region_directory.h"
+#include "location/resolver.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -60,6 +60,14 @@
 #include "storage/page_directory.h"
 
 namespace khz::core {
+
+// The location types that appear in Node's public API.
+using location::AddressMap;
+using location::ClusterState;
+using location::ConsistencyLevel;
+using location::RegionAttrs;
+using location::RegionDescriptor;
+using location::RegionDirectory;
 
 struct NodeConfig {
   NodeId id = 0;
@@ -85,16 +93,10 @@ struct NodeConfig {
   Micros ping_interval = 0;
 
   /// Admission control (docs/overload.md): bounded per-op-class request
-  /// queues with deadline-sorted shedding and kNack backpressure. A limit
-  /// of 0 disables admission for that class; all zero (the default) keeps
-  /// the synchronous pre-admission dispatch path.
-  std::size_t admission_client_queue = 0;
-  std::size_t admission_protocol_queue = 0;
-  std::size_t admission_replication_queue = 0;
-  /// Paced drain: one admitted message per this many micros of scheduler
-  /// time (0 = drain unpaced on the next tick). This is what makes a
-  /// simulated node saturate — sim handlers take zero virtual time.
-  Micros admission_service_us = 0;
+  /// queues with deadline-sorted shedding and kNack backpressure. All
+  /// limits zero (the default) keeps the synchronous pre-admission
+  /// dispatch path.
+  AdmissionConfig admission;
 
   /// fdatasync the metadata journal on every commit, so acknowledged
   /// metadata survives power loss, not just a process crash. Off by
@@ -131,19 +133,10 @@ struct NodeConfig {
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
 
-  /// Location fabric (docs/location.md). Manager-to-manager hint
-  /// anti-entropy period (0 = off: hints spread only via client misses,
-  /// the pre-fabric behaviour).
-  Micros hint_sync_interval = 0;
-  /// Proactive descriptor refresh: sweep period (0 = off), the descriptor
-  /// age that makes a hot region worth re-fetching (0 = any age), and the
-  /// per-sweep access count that makes a region "hot".
-  Micros refresh_interval = 0;
-  Micros refresh_age_us = 0;
-  std::uint32_t refresh_hot_accesses = 4;
-  /// Free-space offers older than this are ignored by pool placement
-  /// (0 = offers never expire — the legacy behaviour).
-  Micros free_space_ttl = 0;
+  /// Location fabric (docs/location.md): hint anti-entropy, proactive
+  /// descriptor refresh and free-space offer expiry. The defaults keep all
+  /// three off — the pre-fabric resolver behaviour.
+  location::FabricConfig location;
   /// Genesis only: run an address-map rebalance pass (split pages above
   /// half occupancy) every this many map mutations (0 = never).
   std::uint32_t map_rebalance_every = 0;
@@ -152,7 +145,7 @@ struct NodeConfig {
   /// per segment-compaction pass (0 = unbounded, the legacy full sweep).
   std::size_t compaction_pages_per_tick = 0;
 
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 1;
   std::uint32_t principal = 0;  // identity for ACL checks
 
   /// Parallel execution lanes (docs/architecture.md, threading model).
@@ -162,26 +155,19 @@ struct NodeConfig {
   /// thread). Clamped to [1, kMaxLanes]. 1 = the legacy single-threaded
   /// node, byte for byte.
   unsigned lanes = 1;
+
+  bool operator==(const NodeConfig&) const = default;
 };
 
-/// Per-node operation counters (observability for tests and benches).
-/// Since the obs::MetricsRegistry migration this is a *snapshot* struct:
-/// Node::stats() synthesizes it from the node's registry counters, so the
-/// legacy field-by-field consumers keep working while new code reads the
-/// registry (which also carries latency histograms).
-struct NodeStats {
-  std::uint64_t reserves = 0;
-  std::uint64_t locks_granted = 0;
-  std::uint64_t locks_failed = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t resolve_cache_hits = 0;   // region-directory hit
-  std::uint64_t resolve_manager_hits = 0; // cluster-manager hint hit
-  std::uint64_t resolve_map_walks = 0;    // address-map tree walks
-  std::uint64_t resolve_cluster_walks = 0;
-  std::uint64_t replica_pushes = 0;
-  std::uint64_t background_retries = 0;
-};
+/// Member `id` of a `nodes`-peer deployment built from one knob template
+/// (SimWorld, TcpWorld): every knob comes from `knobs`, and the identity
+/// fields are filled in. Node 0 is genesis and nodes 0..managers-1 are the
+/// cluster managers; a non-empty `disk_root` puts the node's store under
+/// <disk_root>/node<id>.
+[[nodiscard]] NodeConfig member_config(const NodeConfig& knobs, NodeId id,
+                                       std::size_t nodes,
+                                       std::size_t managers,
+                                       const std::filesystem::path& disk_root);
 
 class Node final : public consistency::CmHost,
                    public RpcEngine::Host,
@@ -313,8 +299,6 @@ class Node final : public consistency::CmHost,
   [[nodiscard]] NodeId id() const { return config_.id; }
   /// The configuration the node was constructed with, verbatim.
   [[nodiscard]] const NodeConfig& config() const { return config_; }
-  /// Snapshot of the legacy counter block, synthesized from metrics().
-  [[nodiscard]] NodeStats stats() const;
   /// Causal span recorder for this node (spans export via the worlds'
   /// trace_json helpers).
   [[nodiscard]] obs::Tracer& tracer() override { return tracer_; }
@@ -440,7 +424,7 @@ class Node final : public consistency::CmHost,
 
  private:
   // -- map page store over region-0 pages (manager side) ------------------
-  class LocalMapStore final : public MapPageStore {
+  class LocalMapStore final : public location::MapPageStore {
    public:
     explicit LocalMapStore(Node& node) : node_(node) {}
     [[nodiscard]] Bytes read_page(std::uint32_t index) override;
@@ -612,7 +596,10 @@ class Node final : public consistency::CmHost,
   /// hash of the base address. Every node hashes the same key against its
   /// own lane count, so sender and receiver lane counts need not match.
   [[nodiscard]] static std::uint64_t region_key(const GlobalAddress& base) {
-    if (AddressRange{kMapRegionBase, kMapRegionSize}.contains(base)) return 0;
+    if (AddressRange{location::kMapRegionBase, location::kMapRegionSize}
+            .contains(base)) {
+      return 0;
+    }
     return std::hash<GlobalAddress>{}(base);
   }
   /// The lane owning the region based at `base` on THIS node.
@@ -764,12 +751,7 @@ class Node final : public consistency::CmHost,
     obs::Counter* locks_failed = nullptr;
     obs::Counter* reads = nullptr;
     obs::Counter* writes = nullptr;
-    obs::Counter* resolve_cache_hits = nullptr;
-    obs::Counter* resolve_manager_hits = nullptr;
-    obs::Counter* resolve_map_walks = nullptr;
-    obs::Counter* resolve_cluster_walks = nullptr;
     obs::Counter* replica_pushes = nullptr;
-    obs::Counter* background_retries = nullptr;
     /// Server-side drops of expired work (rpc.deadline_expired.server);
     /// the engine counts client-side expiries separately under
     /// rpc.deadline_expired.client, so shed-rate attribution works.
@@ -780,10 +762,6 @@ class Node final : public consistency::CmHost,
     obs::Histogram* lock_write_shared_us = nullptr;
     obs::Histogram* read_us = nullptr;
     obs::Histogram* write_us = nullptr;
-    obs::Histogram* resolve_region_dir_us = nullptr;
-    obs::Histogram* resolve_manager_hint_us = nullptr;
-    obs::Histogram* resolve_map_walk_us = nullptr;
-    obs::Histogram* resolve_cluster_walk_us = nullptr;
     /// Pages per multi-page lock op, and the prefetch window's occupancy
     /// sampled at each issue (how much of the pipeline is actually used).
     obs::Histogram* lock_pages = nullptr;

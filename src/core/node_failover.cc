@@ -8,6 +8,8 @@
 
 namespace khz::core {
 
+using location::kMapRegionBase;
+using location::kMapRegionSize;
 using net::MsgType;
 using storage::PageState;
 

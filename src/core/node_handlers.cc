@@ -11,6 +11,10 @@
 namespace khz::core {
 
 using consistency::ProtocolId;
+using location::kFirstClientAddress;
+using location::kMapRegionBase;
+using location::kMapRegionSize;
+using location::kPoolChunkSize;
 using net::Message;
 using net::MsgType;
 using storage::PageState;

@@ -12,6 +12,8 @@ namespace khz::core {
 using consistency::LockContext;
 using consistency::LockMode;
 using consistency::ProtocolId;
+using location::kMapRegionBase;
+using location::kMapRegionSize;
 using net::Message;
 using net::MsgType;
 using storage::PageState;

@@ -13,6 +13,8 @@ using consistency::LockContext;
 using consistency::LockMode;
 using consistency::ProtocolId;
 using consistency::is_write;
+using location::ConsistencyLevel;
+using location::kPoolChunkSize;
 using net::Message;
 using net::MsgType;
 using storage::PageState;

@@ -11,6 +11,8 @@ namespace khz::core {
 
 using consistency::LockMode;
 using consistency::ProtocolId;
+using location::kMapRegionBase;
+using location::kMapRegionSize;
 using net::Message;
 using net::MsgType;
 using storage::PageState;

@@ -2,54 +2,6 @@
 
 namespace khz::core {
 
-namespace {
-NodeConfig make_config(const SimWorldOptions& opts, NodeId id,
-                       std::size_t count) {
-  NodeConfig cfg;
-  cfg.id = id;
-  cfg.genesis = 0;
-  // Node 0 is the default (primary) manager; add the others.
-  for (std::size_t m = 1; m < opts.managers && m < count; ++m) {
-    cfg.cluster_managers.push_back(static_cast<NodeId>(m));
-  }
-  for (std::size_t p = 0; p < count; ++p) {
-    cfg.peers.push_back(static_cast<NodeId>(p));
-  }
-  cfg.ram_pages = opts.ram_pages;
-  if (!opts.disk_root.empty()) {
-    cfg.disk_dir = opts.disk_root / ("node" + std::to_string(id));
-    cfg.disk_pages = opts.disk_pages;
-  }
-  cfg.rpc_timeout = opts.rpc_timeout;
-  cfg.max_retries = opts.max_retries;
-  cfg.ping_interval = opts.ping_interval;
-  cfg.admission_client_queue = opts.admission_client_queue;
-  cfg.admission_protocol_queue = opts.admission_protocol_queue;
-  cfg.admission_replication_queue = opts.admission_replication_queue;
-  cfg.admission_service_us = opts.admission_service_us;
-  cfg.sync_metadata = opts.sync_metadata;
-  cfg.segment_bytes = opts.segment_bytes;
-  cfg.group_commit_us = opts.group_commit_us;
-  cfg.group_commit_bytes = opts.group_commit_bytes;
-  cfg.checkpoint_interval = opts.checkpoint_interval;
-  cfg.slow_op_threshold_us = opts.slow_op_threshold_us;
-  cfg.slow_op_deadline_fraction = opts.slow_op_deadline_fraction;
-  cfg.flight_recorder_capacity = opts.flight_recorder_capacity;
-  cfg.stats_sample_interval = opts.stats_sample_interval;
-  cfg.stats_series_capacity = opts.stats_series_capacity;
-  cfg.hint_sync_interval = opts.hint_sync_interval;
-  cfg.refresh_interval = opts.refresh_interval;
-  cfg.refresh_age_us = opts.refresh_age_us;
-  cfg.refresh_hot_accesses = opts.refresh_hot_accesses;
-  cfg.free_space_ttl = opts.free_space_ttl;
-  cfg.map_rebalance_every = opts.map_rebalance_every;
-  cfg.compaction_pages_per_tick = opts.compaction_pages_per_tick;
-  cfg.lanes = opts.lanes;
-  cfg.seed = opts.seed;
-  return cfg;
-}
-}  // namespace
-
 SimWorld::SimWorld(SimWorldOptions opts)
     : opts_(std::move(opts)), net_(opts_.seed) {
   net_.set_default_link(opts_.link);
@@ -58,7 +10,8 @@ SimWorld::SimWorld(SimWorldOptions opts)
     const auto id = static_cast<NodeId>(i);
     auto& transport = net_.add_node(id);
     nodes_.push_back(
-        std::make_unique<Node>(make_config(opts_, id, opts_.nodes),
+        std::make_unique<Node>(member_config(opts_, id, opts_.nodes,
+                                             opts_.managers, opts_.disk_root),
                                transport));
   }
   for (auto& n : nodes_) n->start();
@@ -83,8 +36,9 @@ void SimWorld::restart_node(NodeId id, bool settle) {
   nodes_[id] = nullptr;  // crash: volatile state gone
   net_.set_node_up(id, true);
   auto* ep = net_.endpoint(id);
-  nodes_[id] =
-      std::make_unique<Node>(make_config(opts_, id, nodes_.size()), *ep);
+  nodes_[id] = std::make_unique<Node>(
+      member_config(opts_, id, nodes_.size(), opts_.managers, opts_.disk_root),
+      *ep);
   nodes_[id]->start();
   if (settle) net_.run_for(opts_.rpc_timeout);
 }

@@ -18,56 +18,16 @@
 
 namespace khz::core {
 
-struct SimWorldOptions {
+/// A SimWorld deployment: the node knobs every member shares (the
+/// NodeConfig base; identity fields are filled in per node) plus the
+/// deployment shape.
+struct SimWorldOptions : NodeConfig {
   std::size_t nodes = 3;
   /// Number of cluster managers (node ids 0..managers-1).
   std::size_t managers = 1;
   net::LinkProfile link = net::LinkProfile::lan();
-  std::size_t ram_pages = 4096;
   /// Non-empty: every node gets a DiskStore under <disk_root>/node<i>.
   std::filesystem::path disk_root;
-  std::size_t disk_pages = 0;
-  Micros rpc_timeout = 200'000;
-  int max_retries = 3;
-  Micros ping_interval = 0;
-  /// Admission-control knobs, forwarded verbatim to every NodeConfig
-  /// (see docs/overload.md). Defaults keep admission off.
-  std::size_t admission_client_queue = 0;
-  std::size_t admission_protocol_queue = 0;
-  std::size_t admission_replication_queue = 0;
-  Micros admission_service_us = 0;
-  /// fdatasync the metadata journal on commit (power-loss durability).
-  bool sync_metadata = false;
-  /// Segment-store data plane knobs, forwarded verbatim to every
-  /// NodeConfig (docs/storage.md).
-  std::uint64_t segment_bytes = 8ull << 20;
-  Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
-  Micros checkpoint_interval = 0;
-  /// Telemetry knobs, forwarded verbatim to every NodeConfig (see
-  /// docs/observability.md). Defaults: flight recorder armed but never
-  /// triggered, self-sampler off.
-  Micros slow_op_threshold_us = 0;
-  double slow_op_deadline_fraction = 0.0;
-  std::size_t flight_recorder_capacity = 32;
-  Micros stats_sample_interval = 0;
-  std::size_t stats_series_capacity = 64;
-  /// Location-fabric knobs, forwarded verbatim to every NodeConfig (see
-  /// docs/location.md). Defaults keep anti-entropy, proactive refresh and
-  /// map rebalancing off — the pre-fabric resolver behaviour.
-  Micros hint_sync_interval = 0;
-  Micros refresh_interval = 0;
-  Micros refresh_age_us = 0;
-  std::uint32_t refresh_hot_accesses = 4;
-  Micros free_space_ttl = 0;
-  std::uint32_t map_rebalance_every = 0;
-  /// Checkpoint-tick compaction budget (0 = unbounded).
-  std::size_t compaction_pages_per_tick = 0;
-  /// Execution lanes per node (docs/architecture.md, threading model).
-  /// Under the simulator lanes are logical tags on the single event loop;
-  /// 1 (the default) is byte-for-byte the legacy single-lane node.
-  unsigned lanes = 1;
-  std::uint64_t seed = 1;
 };
 
 class SimWorld {

@@ -13,36 +13,9 @@ TcpWorld::TcpWorld(TcpWorldOptions opts) : bus_(opts.base_port) {
   }
   for (std::size_t i = 0; i < opts.nodes; ++i) {
     const auto id = static_cast<NodeId>(i);
-    NodeConfig cfg;
-    cfg.id = id;
-    cfg.genesis = 0;
-    for (std::size_t p = 0; p < opts.nodes; ++p) {
-      cfg.peers.push_back(static_cast<NodeId>(p));
-    }
-    cfg.ram_pages = opts.ram_pages;
-    if (!opts.disk_root.empty()) {
-      cfg.disk_dir = opts.disk_root / ("node" + std::to_string(id));
-    }
-    cfg.rpc_timeout = opts.rpc_timeout;
-    cfg.max_retries = opts.max_retries;
-    cfg.ping_interval = opts.ping_interval;
-    cfg.admission_client_queue = opts.admission_client_queue;
-    cfg.admission_protocol_queue = opts.admission_protocol_queue;
-    cfg.admission_replication_queue = opts.admission_replication_queue;
-    cfg.admission_service_us = opts.admission_service_us;
-    cfg.sync_metadata = opts.sync_metadata;
-    cfg.segment_bytes = opts.segment_bytes;
-    cfg.group_commit_us = opts.group_commit_us;
-    cfg.group_commit_bytes = opts.group_commit_bytes;
-    cfg.checkpoint_interval = opts.checkpoint_interval;
-    cfg.slow_op_threshold_us = opts.slow_op_threshold_us;
-    cfg.slow_op_deadline_fraction = opts.slow_op_deadline_fraction;
-    cfg.flight_recorder_capacity = opts.flight_recorder_capacity;
-    cfg.stats_sample_interval = opts.stats_sample_interval;
-    cfg.stats_series_capacity = opts.stats_series_capacity;
-    cfg.lanes = opts.lanes;
-    cfg.seed = opts.seed;
-    nodes_.push_back(std::make_unique<Node>(std::move(cfg), *transports_[i]));
+    nodes_.push_back(std::make_unique<Node>(
+        member_config(opts, id, opts.nodes, /*managers=*/1, opts.disk_root),
+        *transports_[i]));
   }
   for (std::size_t i = 0; i < opts.nodes; ++i) {
     const auto id = static_cast<NodeId>(i);

@@ -21,40 +21,14 @@
 
 namespace khz::core {
 
-struct TcpWorldOptions {
+/// A TcpWorld deployment: the node knobs every member shares (the
+/// NodeConfig base; identity fields are filled in per node) plus the
+/// deployment shape. Node i listens on base_port + i.
+struct TcpWorldOptions : NodeConfig {
   std::size_t nodes = 3;
   std::uint16_t base_port = 39000;
-  std::size_t ram_pages = 4096;
+  /// Non-empty: every node gets a DiskStore under <disk_root>/node<i>.
   std::filesystem::path disk_root;
-  Micros rpc_timeout = 500'000;
-  int max_retries = 3;
-  Micros ping_interval = 0;
-  /// Admission-control knobs, forwarded to every NodeConfig (see
-  /// docs/overload.md). Defaults keep admission off.
-  std::size_t admission_client_queue = 0;
-  std::size_t admission_protocol_queue = 0;
-  std::size_t admission_replication_queue = 0;
-  Micros admission_service_us = 0;
-  /// fdatasync the metadata journal on commit (power-loss durability).
-  bool sync_metadata = false;
-  /// Segment-store data plane knobs, forwarded to every NodeConfig
-  /// (docs/storage.md).
-  std::uint64_t segment_bytes = 8ull << 20;
-  Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
-  Micros checkpoint_interval = 0;
-  /// Telemetry knobs, forwarded to every NodeConfig (see
-  /// docs/observability.md).
-  Micros slow_op_threshold_us = 0;
-  double slow_op_deadline_fraction = 0.0;
-  std::size_t flight_recorder_capacity = 32;
-  Micros stats_sample_interval = 0;
-  std::size_t stats_series_capacity = 64;
-  /// Executor lanes per node (docs/architecture.md, threading model). Each
-  /// lane is its own executor thread; 1 keeps the legacy single-executor
-  /// node.
-  unsigned lanes = 1;
-  std::uint64_t seed = 1;
 };
 
 class TcpWorld {
@@ -71,8 +45,7 @@ class TcpWorld {
   }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
-  /// Wire-level counters of one node's endpoint, the transport analogue of
-  /// Node::stats().
+  /// Wire-level counters of one node's endpoint.
   [[nodiscard]] net::TransportStats transport_stats(NodeId id) const {
     return transports_.at(id)->stats();
   }

@@ -9,14 +9,13 @@ namespace khz::location {
 
 using net::MsgType;
 
-Fabric::Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config)
+Fabric::Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config,
+               unsigned lanes)
     : host_(host),
       config_(config),
-      regions_(config.region_cache_capacity),
       cluster_(),
       resolver_(*this, metrics) {
   cluster_.set_free_space_ttl(config_.free_space_ttl);
-  const unsigned lanes = std::max(1u, config_.lanes);
   access_.reserve(lanes);
   for (unsigned i = 0; i < lanes; ++i) {
     access_.push_back(std::make_unique<AccessShard>());

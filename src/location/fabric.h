@@ -40,8 +40,6 @@
 namespace khz::location {
 
 struct FabricConfig {
-  /// Region-directory capacity (descriptors).
-  std::size_t region_cache_capacity = 1024;
   /// Manager-to-manager hint anti-entropy period. 0 disables the exchange
   /// (hints then spread only via client misses, the pre-fabric behaviour).
   Micros hint_sync_interval = 0;
@@ -54,8 +52,8 @@ struct FabricConfig {
   /// Free-space offers older than this are ignored by placement
   /// (ClusterState::best_pool_node). 0 = offers never expire.
   Micros free_space_ttl = 0;
-  /// Execution lanes on the owning node; sizes the access-counter shards.
-  unsigned lanes = 1;
+
+  bool operator==(const FabricConfig&) const = default;
 };
 
 class Fabric final : public Resolver::Host {
@@ -88,7 +86,10 @@ class Fabric final : public Resolver::Host {
                       Resolver::Host::CallSpec spec) = 0;
   };
 
-  Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config);
+  /// `lanes` (>= 1) is the owning node's clamped execution-lane count; it
+  /// sizes the access-counter shards.
+  Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config,
+         unsigned lanes);
 
   /// Arms the anti-entropy and refresh timers (no-ops when their intervals
   /// are 0). Call after the node's transport is ready.

@@ -122,10 +122,6 @@ class Resolver {
   Host& host_;
 
   struct {
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* manager_hits = nullptr;
-    obs::Counter* map_walks = nullptr;
-    obs::Counter* cluster_walks = nullptr;
     obs::Histogram* region_dir_us = nullptr;
     obs::Histogram* manager_hint_us = nullptr;
     obs::Histogram* map_walk_us = nullptr;

@@ -160,9 +160,9 @@ class SimNetwork {
 
   struct Event {
     Micros at;
-    std::uint64_t seq;  // FIFO tie-break for determinism
-    NodeId node;        // execution context
-    Message msg;        // valid when is_timer == false
+    std::uint64_t seq;      // FIFO tie-break for determinism
+    NodeId node = kNoNode;  // execution context (none for global timers)
+    Message msg;            // valid when is_timer == false
     std::function<void()> fn;
     bool is_timer = false;
     std::uint64_t timer_id = 0;

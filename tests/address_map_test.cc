@@ -4,9 +4,9 @@
 #include <map>
 
 #include "common/rng.h"
-#include "core/address_map.h"
+#include "location/address_map.h"
 
-namespace khz::core {
+namespace khz::location {
 namespace {
 
 /// In-memory page store for direct tree testing.
@@ -260,4 +260,4 @@ TEST_F(AddressMapTest, HugeAddressesBeyond64Bits) {
 }
 
 }  // namespace
-}  // namespace khz::core
+}  // namespace khz::location

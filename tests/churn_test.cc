@@ -52,8 +52,8 @@ TEST(ChurnTest, ResolutionSurvivesRandomChurn) {
   opts.nodes = kNodes;
   opts.managers = kManagers;
   opts.ping_interval = 200'000;
-  opts.hint_sync_interval = 200'000;
-  opts.free_space_ttl = 5'000'000;
+  opts.location.hint_sync_interval = 200'000;
+  opts.location.free_space_ttl = 5'000'000;
   opts.seed = 11;
   SimWorld world(opts);
 

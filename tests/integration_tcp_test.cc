@@ -3,7 +3,11 @@
 // threads — demonstrating the paper's portability claim that only the
 // messaging layer is system-dependent (Section 5).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+
+#include "core/sim_world.h"
 #include "core/tcp_world.h"
 #include "kfs/fs.h"
 
@@ -186,6 +190,107 @@ TEST(TcpIntegration, ConcurrentClientsFromSeparateThreads) {
   std::uint64_t v = 0;
   std::memcpy(&v, final.value().data(), 8);
   EXPECT_EQ(v, 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Knob round trip: both worlds build every node from one NodeConfig
+// template, so a knob set on the template reaches every node unchanged.
+// ---------------------------------------------------------------------------
+
+/// Sets every non-identity NodeConfig knob away from its default.
+void set_every_knob(NodeConfig& c) {
+  c.ram_pages = 1000;
+  c.disk_pages = 900;
+  c.rpc_timeout = 150'000;
+  c.max_retries = 5;
+  c.ping_interval = 400'000;
+  c.admission = {.client_queue_limit = 64,
+                 .protocol_queue_limit = 128,
+                 .replication_queue_limit = 32,
+                 .service_us = 1};
+  c.sync_metadata = true;
+  c.segment_bytes = 1ull << 20;
+  c.group_commit_us = 5'000;
+  c.group_commit_bytes = 64ull << 10;
+  c.checkpoint_interval = 900'000;
+  c.slow_op_threshold_us = 1'000'000;
+  c.slow_op_deadline_fraction = 0.9;
+  c.flight_recorder_capacity = 8;
+  c.stats_sample_interval = 700'000;
+  c.stats_series_capacity = 16;
+  c.location = {.hint_sync_interval = 600'000,
+                .refresh_interval = 800'000,
+                .refresh_age_us = 100'000,
+                .refresh_hot_accesses = 2,
+                .free_space_ttl = 5'000'000};
+  c.map_rebalance_every = 64;
+  c.compaction_pages_per_tick = 128;
+  c.seed = 9;
+  c.principal = 7;
+  c.lanes = 2;
+}
+
+/// Every node of `world` carries `knobs` verbatim, plus its own identity:
+/// id, the full peer list, node 0 as genesis, the first `managers` nodes as
+/// cluster managers and its own directory under `disk_root`.
+template <typename World>
+void expect_nodes_carry(World& world, const NodeConfig& knobs,
+                        std::size_t managers,
+                        const std::filesystem::path& disk_root) {
+  std::vector<NodeId> peers;
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    peers.push_back(static_cast<NodeId>(i));
+  }
+  const std::vector<NodeId> cms(peers.begin(), peers.begin() + managers);
+  for (NodeId id : peers) {
+    NodeConfig got = world.node(id).config();
+    EXPECT_EQ(got.id, id);
+    EXPECT_EQ(got.genesis, 0u);
+    EXPECT_EQ(got.peers, peers);
+    EXPECT_EQ(got.cluster_managers, cms);
+    EXPECT_EQ(got.disk_dir, disk_root / ("node" + std::to_string(id)));
+    EXPECT_EQ(world.node(id).lanes(), 2u);
+    // With the identity fields put back, what remains is the template.
+    got.id = knobs.id;
+    got.genesis = knobs.genesis;
+    got.peers = knobs.peers;
+    got.cluster_managers = knobs.cluster_managers;
+    got.disk_dir = knobs.disk_dir;
+    EXPECT_TRUE(got == knobs) << "node " << id;
+  }
+}
+
+/// A fresh per-process directory, removed again on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("khz_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~TempDir() { std::filesystem::remove_all(dir_); }
+  [[nodiscard]] const std::filesystem::path& path() const { return dir_; }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+TEST(TcpWorldConfig, SimWorldNodesCarryEveryTemplateKnob) {
+  TempDir tmp("sim_knobs");
+  SimWorldOptions opts{.nodes = 3, .managers = 2, .disk_root = tmp.path()};
+  set_every_knob(opts);
+  SimWorld world(opts);
+  expect_nodes_carry(world, opts, 2, tmp.path());
+}
+
+TEST(TcpWorldConfig, TcpWorldNodesCarryEveryTemplateKnob) {
+  TempDir tmp("tcp_knobs");
+  TcpWorldOptions opts{
+      .nodes = 3, .base_port = 42800, .disk_root = tmp.path()};
+  set_every_knob(opts);
+  TcpWorld world(opts);
+  expect_nodes_carry(world, opts, 1, tmp.path());
 }
 
 }  // namespace

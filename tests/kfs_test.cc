@@ -343,15 +343,15 @@ TEST_F(KfsTest, ContiguousUsesFewerLockOperations) {
   ASSERT_TRUE(bf.ok());
   const Bytes data = blob(8 * kBlockSize);
 
-  const auto locks_before_c = world_.node(0).stats().locks_granted;
+  const obs::Counter& locks = world_.node(0).metrics().counter(
+      "node.locks_granted");
+  const auto locks_before_c = locks.value();
   ASSERT_TRUE(fs.value().write(cf.value(), 0, data).ok());
-  const auto contig_locks =
-      world_.node(0).stats().locks_granted - locks_before_c;
+  const auto contig_locks = locks.value() - locks_before_c;
 
-  const auto locks_before_b = world_.node(0).stats().locks_granted;
+  const auto locks_before_b = locks.value();
   ASSERT_TRUE(fs.value().write(bf.value(), 0, data).ok());
-  const auto block_locks =
-      world_.node(0).stats().locks_granted - locks_before_b;
+  const auto block_locks = locks.value() - locks_before_b;
 
   EXPECT_LT(contig_locks, block_locks);
 }

@@ -22,6 +22,13 @@ namespace fs = std::filesystem;
 
 constexpr std::uint64_t kPage = 4096;
 
+SimWorldOptions laned(std::size_t nodes, unsigned lanes) {
+  SimWorldOptions o;
+  o.nodes = nodes;
+  o.lanes = lanes;
+  return o;
+}
+
 Bytes pattern(std::size_t n, std::uint8_t seed) {
   Bytes b(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -78,10 +85,10 @@ TEST(Lanes, RegionDataSurvivesRestartWithLanes) {
   // address, so the mapping is a pure function of the address). A put
   // before the crash must be readable after reboot.
   TempDir tmp;
-  SimWorld world({.nodes = 2,
-                  .disk_root = tmp.path(),
-                  .disk_pages = 512,
-                  .lanes = 4});
+  SimWorldOptions opts = laned(2, 4);
+  opts.disk_root = tmp.path();
+  opts.disk_pages = 512;
+  SimWorld world(opts);
   const std::uint64_t bytes = 4 * kPage;
   std::vector<GlobalAddress> bases;
   for (int i = 0; i < 6; ++i) {  // several regions → several lanes
@@ -108,7 +115,7 @@ TEST(Lanes, MultiPageLockAcrossManyRegionsAndLanes) {
   // Locks against regions owned by different lanes, issued from one
   // client entry point, must all complete: the entry hop posts onto each
   // region's lane and the continuation carries the deadline across.
-  SimWorld world({.nodes = 3, .lanes = 4});
+  SimWorld world(laned(3, 4));
   const std::uint64_t bytes = 8 * kPage;
   for (int i = 0; i < 8; ++i) {
     auto base = world.create_region(static_cast<NodeId>(i % 3), bytes);
@@ -130,7 +137,7 @@ TEST(Lanes, FailedLockRollsBackWithLanes) {
   // All-or-nothing multi-page acquisition still holds with lanes: a lock
   // spanning unreserved space fails and leaves nothing held, so a
   // follow-up lock of the valid prefix succeeds immediately.
-  SimWorld world({.nodes = 2, .lanes = 4});
+  SimWorld world(laned(2, 4));
   const std::uint64_t bytes = 4 * kPage;
   auto base = world.create_region(0, bytes);
   ASSERT_TRUE(base.ok());
@@ -146,7 +153,7 @@ TEST(Lanes, FailedLockRollsBackWithLanes) {
 // ---------------------------------------------------------------------------
 
 TEST(Lanes, TimerFiresOnOwningLane) {
-  SimWorld world({.nodes = 1, .lanes = 4});
+  SimWorld world(laned(1, 4));
   auto* ep = world.net().endpoint(0);
   ASSERT_NE(ep, nullptr);
   unsigned fired_on = 99;
@@ -160,7 +167,7 @@ TEST(Lanes, TimerFiresOnOwningLane) {
 // ---------------------------------------------------------------------------
 
 std::map<net::MsgType, std::uint64_t> run_workload_messages(unsigned lanes) {
-  SimWorld world({.nodes = 3, .lanes = lanes});
+  SimWorld world(laned(3, lanes));
   const std::uint64_t bytes = 8 * kPage;
   auto base = world.create_region(0, bytes);
   EXPECT_TRUE(base.ok());
@@ -188,7 +195,7 @@ TEST(Lanes, LanesOneMatchesLegacyMessageForMessage) {
 // ---------------------------------------------------------------------------
 
 TEST(Lanes, LaneTelemetryVisibleInMetrics) {
-  SimWorld world({.nodes = 2, .lanes = 4});
+  SimWorld world(laned(2, 4));
   const std::uint64_t bytes = 4 * kPage;
   for (int i = 0; i < 6; ++i) {
     auto base = world.create_region(0, bytes);
@@ -214,7 +221,11 @@ TEST(Lanes, LaneTelemetryVisibleInMetrics) {
 // ---------------------------------------------------------------------------
 
 TEST(Lanes, TcpWorldMultiLaneRoundTrip) {
-  TcpWorld world({.nodes = 2, .base_port = 41200, .lanes = 2});
+  TcpWorldOptions opts;
+  opts.nodes = 2;
+  opts.base_port = 41200;
+  opts.lanes = 2;
+  TcpWorld world(opts);
   TcpClient client(world, 0);
   const std::uint64_t bytes = 4 * kPage;
   for (int i = 0; i < 4; ++i) {

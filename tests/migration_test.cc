@@ -32,7 +32,9 @@ TEST(MigrationTest, DataSurvivesAndNewHomeServes) {
 }
 
 TEST(MigrationTest, OldHomeCanDieAfterMigration) {
-  SimWorld world({.nodes = 3, .rpc_timeout = 50'000});
+  SimWorldOptions opts{.nodes = 3};
+  opts.rpc_timeout = 50'000;
+  SimWorld world(opts);
   auto base = world.create_region(1, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.put(1, {base.value(), 4096}, fill(4096, 0x77)).ok());

@@ -11,6 +11,16 @@ namespace {
 
 Bytes fill(std::size_t n, std::uint8_t v) { return Bytes(n, v); }
 
+/// `nodes` peers, the first `managers` of them cluster managers, with a
+/// short RPC timeout so manager crashes resolve in little virtual time.
+SimWorldOptions fast_timeout(std::size_t nodes, std::size_t managers) {
+  SimWorldOptions o;
+  o.nodes = nodes;
+  o.managers = managers;
+  o.rpc_timeout = 50'000;
+  return o;
+}
+
 TEST(MultiManagerTest, BothManagersAccumulateHints) {
   SimWorld world({.nodes = 4, .managers = 2});
   auto base = world.create_region(2, 4096);
@@ -21,7 +31,7 @@ TEST(MultiManagerTest, BothManagersAccumulateHints) {
 }
 
 TEST(MultiManagerTest, GrantsFromDifferentManagersAreDisjoint) {
-  SimWorld world({.nodes = 4, .managers = 2, .rpc_timeout = 50'000});
+  SimWorld world(fast_timeout(4, 2));
   // Force node 2 to get its chunk from the primary and node 3 from the
   // backup, by crashing the primary in between.
   auto a = world.reserve(2, 4096);
@@ -37,7 +47,7 @@ TEST(MultiManagerTest, GrantsFromDifferentManagersAreDisjoint) {
 }
 
 TEST(MultiManagerTest, ReserveSurvivesPrimaryManagerCrash) {
-  SimWorld world({.nodes = 4, .managers = 2, .rpc_timeout = 50'000});
+  SimWorld world(fast_timeout(4, 2));
   world.net().set_node_up(0, false);
   auto base = world.reserve(3, 4096);
   ASSERT_TRUE(base.ok()) << to_string(base.error());
@@ -50,7 +60,7 @@ TEST(MultiManagerTest, ReserveSurvivesPrimaryManagerCrash) {
 }
 
 TEST(MultiManagerTest, HintQueryFallsOverToBackupManager) {
-  SimWorld world({.nodes = 4, .managers = 2, .rpc_timeout = 50'000});
+  SimWorld world(fast_timeout(4, 2));
   auto base = world.create_region(1, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.put(1, {base.value(), 4096}, fill(4096, 3)).ok());
@@ -60,7 +70,8 @@ TEST(MultiManagerTest, HintQueryFallsOverToBackupManager) {
   auto r = world.get(3, {base.value(), 4096});
   ASSERT_TRUE(r.ok()) << to_string(r.error());
   EXPECT_EQ(r.value()[0], 3);
-  EXPECT_GE(world.node(3).stats().resolve_manager_hits, 1u);
+  EXPECT_GE(
+      world.node(3).metrics().counter("location.hits.manager").value(), 1u);
 }
 
 TEST(MultiManagerTest, SingleManagerConfigStillWorks) {
@@ -72,7 +83,7 @@ TEST(MultiManagerTest, SingleManagerConfigStillWorks) {
 }
 
 TEST(MultiManagerTest, ManyReservationsAcrossManagersStayDisjoint) {
-  SimWorld world({.nodes = 6, .managers = 3, .rpc_timeout = 50'000});
+  SimWorld world(fast_timeout(6, 3));
   std::vector<AddressRange> ranges;
   for (int i = 0; i < 12; ++i) {
     // Rotate which manager is reachable so grants come from all slabs.

@@ -84,9 +84,11 @@ TEST(MultiPageLock, PartialFailureReleasesEveryGrantedPage) {
   // Node 1 owns the first five pages; the home (node 0) then dies, so the
   // range lock's later pages can never be granted. The op must fail AND
   // leave no stray hold on the pages it had already locked.
-  SimWorld world({.nodes = 2,
-                  .rpc_timeout = 50'000,
-                  .max_retries = 1});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.rpc_timeout = 50'000;
+  opts.max_retries = 1;
+  SimWorld world(opts);
   const std::uint64_t bytes = 8 * kPage;
   auto base = world.create_region(0, bytes);
   ASSERT_TRUE(base.ok());
@@ -107,7 +109,8 @@ TEST(MultiPageLock, PartialFailureReleasesEveryGrantedPage) {
     EXPECT_EQ(info.write_holds, 0u) << "page " << p;
     EXPECT_EQ(info.read_holds, 0u) << "page " << p;
   }
-  EXPECT_EQ(world.node(1).stats().locks_failed, 1u);
+  EXPECT_EQ(world.node(1).metrics().counter("node.locks_failed").value(),
+            1u);
 
   // The released pages are actually reusable: a lock over just the pages
   // node 1 still owns succeeds without the home.
@@ -162,7 +165,10 @@ TEST(MultiPageLock, BatchFetchSurvivesDropAndDuplication) {
   // invalidate makes the home presume the sharer dead after its timeout —
   // the protocol's documented availability tradeoff — which would leave a
   // legitimately stale copy and has nothing to do with multi-page fetches.
-  SimWorld world({.nodes = 2, .seed = 7});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.seed = 7;
+  SimWorld world(opts);
   net::LinkProfile to_home = net::LinkProfile::lan();
   to_home.drop_probability = 0.05;
   to_home.dup_probability = 0.05;

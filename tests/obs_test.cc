@@ -401,7 +401,9 @@ TEST(TraceIntegration, LockProducesCrossNodeTrace) {
 }
 
 TEST(TraceIntegration, UntracedBackgroundTrafficStaysOutOfRing) {
-  core::SimWorld world({.nodes = 2, .ping_interval = 10'000});
+  core::SimWorldOptions opts{.nodes = 2};
+  opts.ping_interval = 10'000;
+  core::SimWorld world(opts);
   for (std::size_t i = 0; i < world.size(); ++i) {
     world.node(static_cast<NodeId>(i)).tracer().clear();
   }

@@ -488,9 +488,10 @@ TEST(ReliableQueue, ZeroLimitKeepsLegacyUnboundedBehavior) {
 TEST(OverloadSim, QueueFullShedsWithNackAndCallerFailsFast) {
   // Client queue of 1 and a glacial service rate: the first request parks,
   // everything after it is shed with a Nack.
-  SimWorld world({.nodes = 2,
-                  .admission_client_queue = 1,
-                  .admission_service_us = 1'000'000});
+  SimWorldOptions wopts;
+  wopts.nodes = 2;
+  wopts.admission = {.client_queue_limit = 1, .service_us = 1'000'000};
+  SimWorld world(wopts);
   Node& client = world.node(1);
 
   Encoder e;
@@ -519,13 +520,15 @@ TEST(OverloadSim, QueueFullShedsWithNackAndCallerFailsFast) {
 TEST(OverloadSim, SoakAtTwiceSaturationStaysBounded) {
   constexpr Micros kServiceUs = 500;  // saturation = 2000 ops/s
   constexpr std::size_t kClientQueue = 64;
-  SimWorld world({.nodes = 3,
-                  .rpc_timeout = 50'000,
-                  .admission_client_queue = kClientQueue,
-                  .admission_protocol_queue = 256,
-                  .admission_replication_queue = 256,
-                  .admission_service_us = kServiceUs,
-                  .seed = 11});
+  SimWorldOptions wopts;
+  wopts.nodes = 3;
+  wopts.rpc_timeout = 50'000;
+  wopts.admission = {.client_queue_limit = kClientQueue,
+                     .protocol_queue_limit = 256,
+                     .replication_queue_limit = 256,
+                     .service_us = kServiceUs};
+  wopts.seed = 11;
+  SimWorld world(wopts);
 
   std::vector<GlobalAddress> bases;
   for (int r = 0; r < 16; ++r) {

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/client.h"
-#include "core/region.h"
+#include "location/region.h"
 #include "net/message.h"
 
 namespace khz::core {
@@ -27,7 +27,9 @@ class CrewLinearizability : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(CrewLinearizability, RandomOpsMatchSequentialModel) {
   const auto [seed, node_count, region_count] = GetParam();
-  SimWorld world({.nodes = node_count, .seed = seed});
+  SimWorldOptions opts{.nodes = node_count};
+  opts.seed = seed;
+  SimWorld world(opts);
   Rng rng(seed * 77 + 1);
 
   struct Region {
@@ -84,7 +86,10 @@ class CrashChurn : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CrashChurn, ReplicatedRegionsSurviveRandomCrashes) {
   const std::uint64_t seed = GetParam();
-  SimWorld world({.nodes = 5, .rpc_timeout = 50'000, .seed = seed});
+  SimWorldOptions opts{.nodes = 5};
+  opts.rpc_timeout = 50'000;
+  opts.seed = seed;
+  SimWorld world(opts);
   Rng rng(seed);
 
   RegionAttrs attrs;

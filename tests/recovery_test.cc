@@ -279,10 +279,12 @@ TEST(RecoveryTest, TornWriteOnCrashedNodeReplaysGroupCommittedState) {
   // append is torn by the crash (plus journal tail garbage). The rebooted
   // node serves v1 byte-identically — never a half-written v2.
   TempDir tmp;
-  SimWorld world({.nodes = 2,
-                  .disk_root = tmp.path(),
-                  .sync_metadata = true,
-                  .group_commit_us = 5'000});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.disk_root = tmp.path();
+  opts.sync_metadata = true;
+  opts.group_commit_us = 5'000;
+  SimWorld world(opts);
   auto base = world.create_region(1, 4096);
   ASSERT_TRUE(base.ok());
   Bytes v1(4096);
@@ -322,8 +324,9 @@ TEST(RecoveryTest, TornWriteOnCrashedNodeReplaysGroupCommittedState) {
 
 TEST(RecoveryTest, ScriptedCrashRebootCycleRecovers) {
   TempDir tmp;
-  SimWorld world({.nodes = 3, .disk_root = tmp.path(),
-                  .rpc_timeout = 50'000});
+  SimWorldOptions opts{.nodes = 3, .disk_root = tmp.path()};
+  opts.rpc_timeout = 50'000;
+  SimWorld world(opts);
   auto base = world.create_region(2, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.put(2, {base.value(), 4096}, fill(4096, 0xCD)).ok());
@@ -341,7 +344,9 @@ TEST(RecoveryTest, ScriptedCrashRebootCycleRecovers) {
 }
 
 TEST(RecoveryTest, ScriptedPartitionHealsOnSchedule) {
-  SimWorld world({.nodes = 3, .rpc_timeout = 50'000});
+  SimWorldOptions opts{.nodes = 3};
+  opts.rpc_timeout = 50'000;
+  SimWorld world(opts);
   auto base = world.create_region(0, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.put(0, {base.value(), 4096}, fill(4096, 0x11)).ok());
@@ -370,8 +375,10 @@ TEST(RecoveryTest, HomeFailoverPromotesReplicaAndServesWrites) {
   // detector fires, the surviving copy-set member with the highest id
   // promotes itself to home, and a writer on a third node completes
   // lock(kReadWrite)+write+unlock with no manual intervention.
-  SimWorld world({.nodes = 4, .rpc_timeout = 50'000,
-                  .ping_interval = 50'000});
+  SimWorldOptions opts{.nodes = 4};
+  opts.rpc_timeout = 50'000;
+  opts.ping_interval = 50'000;
+  SimWorld world(opts);
   RegionAttrs attrs;
   attrs.min_replicas = 2;
   auto base = world.create_region(1, 4096, attrs);
@@ -401,8 +408,10 @@ TEST(RecoveryTest, HomeFailoverPromotesReplicaAndServesWrites) {
 }
 
 TEST(RecoveryTest, FailoverKeepsReadsFlowingWhileWritesRebuild) {
-  SimWorld world({.nodes = 4, .rpc_timeout = 50'000,
-                  .ping_interval = 50'000});
+  SimWorldOptions opts{.nodes = 4};
+  opts.rpc_timeout = 50'000;
+  opts.ping_interval = 50'000;
+  SimWorld world(opts);
   RegionAttrs attrs;
   attrs.min_replicas = 3;
   auto base = world.create_region(1, 4096, attrs);

@@ -2,11 +2,11 @@
 // (Section 3.2) and cluster-manager state (Section 3.1).
 #include <gtest/gtest.h>
 
-#include "core/cluster.h"
-#include "core/region.h"
-#include "core/region_directory.h"
+#include "location/cluster.h"
+#include "location/region.h"
+#include "location/region_directory.h"
 
-namespace khz::core {
+namespace khz::location {
 namespace {
 
 RegionDescriptor desc(std::uint64_t base, std::uint64_t size,
@@ -262,4 +262,4 @@ TEST(ClusterState, DigestIsOrderIndependentAndStampSensitive) {
 }
 
 }  // namespace
-}  // namespace khz::core
+}  // namespace khz::location

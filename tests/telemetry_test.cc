@@ -219,7 +219,10 @@ TEST(Rings, FlightRecorderKeepsNewestAndCountsDrops) {
 
 TEST(TelemetrySim, SlowOpCutsDossierWithSpanTree) {
   // Threshold of 1us: every client op is "slow" and must cut a dossier.
-  SimWorld world({.nodes = 2, .slow_op_threshold_us = 1});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.slow_op_threshold_us = 1;
+  SimWorld world(opts);
   auto base = world.create_region(0, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.getattr(1, base.value()).ok());
@@ -247,7 +250,10 @@ TEST(TelemetrySim, SlowOpCutsDossierWithSpanTree) {
 TEST(TelemetrySim, DeadlineFractionTriggersWithoutAbsoluteThreshold) {
   // No absolute threshold; an op that burns >=50% of its deadline budget
   // is slow. A 1us budget makes that certain.
-  SimWorld world({.nodes = 2, .slow_op_deadline_fraction = 0.5});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.slow_op_deadline_fraction = 0.5;
+  SimWorld world(opts);
   auto base = world.create_region(0, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.getattr(1, base.value()).ok());  // no deadline: quiet
@@ -270,10 +276,12 @@ TEST(TelemetrySim, ScrapeRemoteNodeMidOverloadSeesQueueDepth) {
   // scrapes node 0 through the wire while that backlog is still queued.
   // The scrape rides the protocol class, so it is served ahead of the
   // stuck client work — that is the point of the design.
-  SimWorld world({.nodes = 3,
-                  .admission_client_queue = 16,
-                  .admission_protocol_queue = 64,
-                  .admission_service_us = 20'000});
+  SimWorldOptions opts;
+  opts.nodes = 3;
+  opts.admission = {.client_queue_limit = 16,
+                    .protocol_queue_limit = 64,
+                    .service_us = 20'000};
+  SimWorld world(opts);
   auto base = world.create_region(0, 4096);
   ASSERT_TRUE(base.ok());
 
@@ -298,9 +306,11 @@ TEST(TelemetrySim, ScrapeRemoteNodeMidOverloadSeesQueueDepth) {
 }
 
 TEST(TelemetrySim, SelfSamplerFillsTheSeriesRing) {
-  SimWorld world({.nodes = 2,
-                  .stats_sample_interval = 50'000,
-                  .stats_series_capacity = 4});
+  SimWorldOptions opts;
+  opts.nodes = 2;
+  opts.stats_sample_interval = 50'000;
+  opts.stats_series_capacity = 4;
+  SimWorld world(opts);
   auto base = world.create_region(0, 4096);
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(world.getattr(1, base.value()).ok());
