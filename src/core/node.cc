@@ -107,8 +107,8 @@ Node::Node(NodeConfig config, net::Transport& transport)
       tracer_(config_.id),
       flight_(config_.flight_recorder_capacity),
       series_(config_.stats_series_capacity),
-      fabric_(std::make_unique<location::Fabric>(
-          *this, metrics_, config_.location, lanes_)),
+      fabric_(std::make_unique<location::Fabric>(*this, metrics_,
+                                                 config_.location)),
       regions_(fabric_->regions()),
       cluster_(fabric_->cluster()),
       engines_([&] {

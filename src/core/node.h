@@ -109,12 +109,9 @@ struct NodeConfig {
   std::uint64_t segment_bytes = 8ull << 20;
   /// Group commit (amortizes one fdatasync over a batch of page + journal
   /// writes). group_commit_us > 0 arms a timer that commits the pending
-  /// batch every tick; group_commit_bytes > 0 additionally commits as soon
-  /// as that many segment bytes are pending. Both zero (the default):
-  /// every durable write commits inline when sync_metadata is set — the
-  /// per-write-fdatasync baseline.
+  /// batch every tick. Zero (the default): every durable write commits
+  /// inline when sync_metadata is set — the per-write-fdatasync baseline.
   Micros group_commit_us = 0;
-  std::uint64_t group_commit_bytes = 0;
   /// > 0: every interval, checkpoint the metadata journal into a fresh
   /// snapshot and compact cold segments, on the node's timer rail.
   Micros checkpoint_interval = 0;
@@ -133,17 +130,10 @@ struct NodeConfig {
   Micros stats_sample_interval = 0;
   std::size_t stats_series_capacity = 64;
 
-  /// Location fabric (docs/location.md): hint anti-entropy, proactive
-  /// descriptor refresh and free-space offer expiry. The defaults keep all
-  /// three off — the pre-fabric resolver behaviour.
+  /// Location fabric (docs/location.md): hint anti-entropy and free-space
+  /// offer expiry. The defaults keep both off — the pre-fabric resolver
+  /// behaviour.
   location::FabricConfig location;
-  /// Genesis only: run an address-map rebalance pass (split pages above
-  /// half occupancy) every this many map mutations (0 = never).
-  std::uint32_t map_rebalance_every = 0;
-
-  /// Checkpoint-tick compaction budget: at most this many pages rewritten
-  /// per segment-compaction pass (0 = unbounded, the legacy full sweep).
-  std::size_t compaction_pages_per_tick = 0;
 
   std::uint64_t seed = 1;
   std::uint32_t principal = 0;  // identity for ACL checks
@@ -670,9 +660,6 @@ class Node final : public consistency::CmHost,
 
   std::unique_ptr<LocalMapStore> map_store_;
   std::unique_ptr<AddressMap> map_;
-  /// Genesis only: map mutations since start, driving the periodic
-  /// rebalance pass (config_.map_rebalance_every). Lane 0 only.
-  std::uint32_t map_mutations_ = 0;
 
   /// Per-lane consistency managers: lane L's CMs only ever see pages whose
   /// region hashes to L (the address map's release CM lives on lane 0).

@@ -183,16 +183,6 @@ void Node::on_map_mutate_req(const Message& m) {
   // success so the sender's retry loop terminates.
   if (s.error() == ErrorCode::kAlreadyReserved && op == 1) s = Status{};
   if (s.error() == ErrorCode::kNotFound && (op == 2 || op == 3)) s = Status{};
-  // Periodic skew repair: insertion only splits at the hard overflow
-  // point, so a skewed reservation pattern piles entries into one hot
-  // page; rebalancing at half occupancy spreads them over more pages.
-  if (s.ok() && config_.map_rebalance_every > 0 &&
-      ++map_mutations_ % config_.map_rebalance_every == 0) {
-    const std::size_t splits = map_->rebalance(AddressMap::kMaxEntries / 2);
-    if (splits > 0) {
-      metrics_.counter("location.map_rebalance_splits").inc(splits);
-    }
-  }
   respond(m, MsgType::kMapMutateResp, status_payload(s.error()));
 }
 

@@ -11,9 +11,10 @@
 //    hint published to one manager reaches the others without waiting for
 //    a client miss, and a failure-detector retraction propagates instead
 //    of resurrecting.
-//  * Proactive descriptor refresh: per-lane access counters find hot
-//    regions; descriptors older than the age TTL are re-fetched from their
-//    cached homes before a client blocks on a stale one.
+//
+// Region-directory descriptors are not refreshed ahead of time: a stale
+// home pointer only sends a request to a node that is no longer home
+// (paper, Section 3.2), and the answer found past it refills the cache.
 //
 // Everything the fabric needs from the node is behind Fabric::Host — a
 // narrow interface (identity, clock, timers, failure verdicts, one RPC
@@ -22,9 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/result.h"
@@ -43,12 +41,6 @@ struct FabricConfig {
   /// Manager-to-manager hint anti-entropy period. 0 disables the exchange
   /// (hints then spread only via client misses, the pre-fabric behaviour).
   Micros hint_sync_interval = 0;
-  /// Proactive-refresh sweep period. 0 disables refresh entirely.
-  Micros refresh_interval = 0;
-  /// Only descriptors at least this old are re-fetched (0 = any age).
-  Micros refresh_age_us = 0;
-  /// Accesses per sweep that make a region "hot" enough to refresh.
-  std::uint32_t refresh_hot_accesses = 4;
   /// Free-space offers older than this are ignored by placement
   /// (ClusterState::best_pool_node). 0 = offers never expire.
   Micros free_space_ttl = 0;
@@ -86,20 +78,16 @@ class Fabric final : public Resolver::Host {
                       Resolver::Host::CallSpec spec) = 0;
   };
 
-  /// `lanes` (>= 1) is the owning node's clamped execution-lane count; it
-  /// sizes the access-counter shards.
-  Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config,
-         unsigned lanes);
+  Fabric(Host& host, obs::MetricsRegistry& metrics, FabricConfig config);
 
-  /// Arms the anti-entropy and refresh timers (no-ops when their intervals
-  /// are 0). Call after the node's transport is ready.
+  /// Arms the anti-entropy timer (a no-op when its interval is 0, or on a
+  /// non-manager). Call after the node's transport is ready.
   void start();
   /// Cancels outstanding timers. Idempotent.
   void stop();
 
-  /// Resolve `addr` to its region descriptor. Counts the resolve, notes
-  /// the access for the hot-region refresh pass, and attributes exactly
-  /// one hit class via note_resolved.
+  /// Resolve `addr` to its region descriptor. Counts the resolve; the
+  /// resolver attributes exactly one hit class via note_resolved.
   void resolve(const GlobalAddress& addr, Resolver::DescCb cb);
 
   [[nodiscard]] RegionDirectory& regions() { return regions_; }
@@ -162,9 +150,6 @@ class Fabric final : public Resolver::Host {
 
   void hint_sync_tick();
   void sync_with(NodeId peer);
-  void refresh_tick();
-  void refresh_descriptor(const GlobalAddress& base);
-  void note_access(const GlobalAddress& base);
 
   Host& host_;
   FabricConfig config_;
@@ -172,17 +157,8 @@ class Fabric final : public Resolver::Host {
   ClusterState cluster_;
   Resolver resolver_;
 
-  /// Per-lane access-counter shards (lane-local in the common case; the
-  /// sweep aggregates across shards).
-  struct AccessShard {
-    std::mutex mu;
-    std::map<GlobalAddress, std::uint32_t> counts;
-  };
-  std::vector<std::unique_ptr<AccessShard>> access_;
-
   bool running_ = false;
   std::uint64_t sync_timer_ = 0;
-  std::uint64_t refresh_timer_ = 0;
 
   struct {
     obs::Counter* resolves = nullptr;
@@ -196,7 +172,6 @@ class Fabric final : public Resolver::Host {
     obs::Counter* hint_sync_merged = nullptr;
     obs::Counter* hint_sync_rejected = nullptr;
     obs::Counter* retractions = nullptr;
-    obs::Counter* refreshes = nullptr;
   } ins_;
 };
 

@@ -28,14 +28,8 @@ class RegionDirectory {
   [[nodiscard]] std::optional<RegionDescriptor> lookup(
       const GlobalAddress& addr);
 
-  /// Inserts or refreshes a descriptor (keyed by region base). `stamp` is
-  /// the insert time; the fabric's proactive-refresh pass compares it
-  /// against the descriptor-age TTL (0 = unknown age, always refreshable).
-  void insert(const RegionDescriptor& desc, Micros stamp = 0);
-
-  /// Insert time of the cached descriptor based at `base`, if cached.
-  /// Does not touch LRU order.
-  [[nodiscard]] std::optional<Micros> stamp_of(const GlobalAddress& base) const;
+  /// Inserts or refreshes a descriptor (keyed by region base).
+  void insert(const RegionDescriptor& desc);
 
   /// Drops the cached descriptor covering `addr` (stale-hint recovery).
   void invalidate(const GlobalAddress& addr);
@@ -67,7 +61,6 @@ class RegionDirectory {
   struct Entry {
     RegionDescriptor desc;
     std::list<GlobalAddress>::iterator lru_pos;
-    Micros stamp = 0;
   };
 
   std::size_t capacity_;

@@ -176,7 +176,7 @@ void Resolver::fetch_descriptor(std::vector<NodeId> candidates,
         }
         (void)d.u8();  // status byte; the accept predicate saw kOk
         RegionDescriptor desc = RegionDescriptor::decode(d);
-        host_.region_cache().insert(desc, host_.now());
+        host_.region_cache().insert(desc);
         const Micros lat = host_.now() - t0;
         if (auto* hist = hist_for(cls)) hist->record(lat);
         host_.note_resolved(cls, lat);
@@ -217,7 +217,7 @@ void Resolver::resolve_via_cluster_walk(const GlobalAddress& addr, Micros t0,
             RegionDescriptor desc = RegionDescriptor::decode(d);
             st->done = true;
             const Micros lat = host_.now() - t0;
-            host_.region_cache().insert(desc, host_.now());
+            host_.region_cache().insert(desc);
             ins_.cluster_walk_us->record(lat);
             host_.note_resolved(HitClass::kClusterWalk, lat);
             st->cb(std::move(desc));

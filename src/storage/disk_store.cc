@@ -67,13 +67,7 @@ Status DiskStore::commit() {
 }
 
 Status DiskStore::maybe_commit() {
-  if (group_commit_) {
-    if (group_commit_bytes_ > 0 &&
-        segments_->pending_bytes() >= group_commit_bytes_) {
-      return commit();
-    }
-    return {};  // the owner's group-commit timer drains the rest
-  }
+  if (group_commit_) return {};  // the owner's group-commit timer drains
   if (sync_on_commit_) return commit();  // per-write fdatasync baseline
   return {};
 }
@@ -84,9 +78,8 @@ void DiskStore::set_sync_on_commit(bool on) {
   journal_->set_sync_on_commit(on);
 }
 
-void DiskStore::set_group_commit(bool on, std::uint64_t bytes_threshold) {
+void DiskStore::set_group_commit(bool on) {
   group_commit_ = on;
-  group_commit_bytes_ = bytes_threshold;
   journal_->set_group_commit(on);
 }
 

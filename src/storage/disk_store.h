@@ -15,10 +15,9 @@
 //   * commit() makes everything appended so far — segment records and
 //     journal records — durable with one fdatasync per dirty file.
 //   * maybe_commit() is the group-commit policy point: under group commit
-//     it commits only past the bytes threshold (the owner's timer drains
-//     the rest); without group commit but with sync-on-commit it commits
-//     inline, which is the per-write-fdatasync baseline the bench measures
-//     against.
+//     it leaves the batch to the owner's timer; without group commit but
+//     with sync-on-commit it commits inline, which is the per-write-
+//     fdatasync baseline the bench measures against.
 #pragma once
 
 #include <filesystem>
@@ -70,27 +69,18 @@ class DiskStore {
   Status commit();
   /// Policy point called after each durable append (see header comment).
   Status maybe_commit();
-  /// Segment-log bytes awaiting commit (the group_commit_bytes input).
-  [[nodiscard]] std::uint64_t pending_bytes() const {
-    return segments_->pending_bytes();
-  }
 
   /// Enables fdatasync-at-commit for pages, journal and meta sidecars
   /// (NodeConfig::sync_metadata).
   void set_sync_on_commit(bool on);
   /// Enables group commit: appends stop syncing inline and durability is
-  /// deferred to commit()/maybe_commit(). `bytes_threshold` > 0 makes
-  /// maybe_commit() drain once that much segment data is pending; 0 leaves
-  /// draining entirely to the owner's timer.
-  void set_group_commit(bool on, std::uint64_t bytes_threshold = 0);
-  [[nodiscard]] bool group_commit() const { return group_commit_; }
+  /// deferred to the owner's commit() calls.
+  void set_group_commit(bool on);
 
   /// Checkpoint/compaction: rewrites live pages out of cold segments and
   /// unlinks them. Returns pages rewritten. Runs on the owner's checkpoint
   /// timer rail, never on a lane hot path.
-  std::size_t compact(std::size_t max_pages = 0) {
-    return segments_->compact(max_pages);
-  }
+  std::size_t compact() { return segments_->compact(); }
 
   /// Registers the storage.* instruments (docs/observability.md).
   void bind_metrics(obs::MetricsRegistry& m) { segments_->bind_metrics(m); }
@@ -117,7 +107,6 @@ class DiskStore {
   std::size_t capacity_;
   bool sync_on_commit_ = false;
   bool group_commit_ = false;
-  std::uint64_t group_commit_bytes_ = 0;
   std::unique_ptr<SegmentStore> segments_;
   std::unique_ptr<MetaJournal> journal_;
 };

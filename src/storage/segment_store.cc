@@ -165,7 +165,6 @@ Status SegmentStore::append_locked(const GlobalAddress& addr,
   }
   seg.total_payload += len;
   seg.size += kHeaderBytes + len;
-  pending_bytes_ += kHeaderBytes + len;
   head_dirty_ = true;
   if (buffer_.size() >= cfg_.flush_buffer_bytes) flush_buffer_locked();
   return {};
@@ -229,6 +228,10 @@ std::optional<Bytes> SegmentStore::get(const GlobalAddress& addr) {
     // the file rather than stitching reads across buffer and fd.
     flush_buffer_locked();
   }
+  return read_locked(loc);
+}
+
+std::optional<Bytes> SegmentStore::read_locked(const Locator& loc) {
   const int fd = reader_locked(loc.seg);
   if (fd < 0) return std::nullopt;
   Bytes out(loc.len);
@@ -261,11 +264,6 @@ std::vector<GlobalAddress> SegmentStore::scan() const {
   for (const auto& [addr, loc] : index_) out.push_back(addr);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::uint64_t SegmentStore::pending_bytes() const {
-  std::lock_guard lock(mu_);
-  return pending_bytes_;
 }
 
 std::uint64_t SegmentStore::pending_pages() const {
@@ -301,7 +299,6 @@ Status SegmentStore::commit_locked() {
     unsynced_fds_.clear();
   }
   head_dirty_ = false;
-  pending_bytes_ = 0;
   pending_pages_ = 0;
   return status;
 }
@@ -345,7 +342,7 @@ std::uint64_t SegmentStore::scan_segment_locked(std::uint64_t id) {
   return pos;
 }
 
-std::size_t SegmentStore::compact(std::size_t max_pages) {
+std::size_t SegmentStore::compact() {
   std::lock_guard lock(mu_);
   flush_buffer_locked();
   // Cold candidates: every non-head segment less than half live. A fully
@@ -366,36 +363,22 @@ std::size_t SegmentStore::compact(std::size_t max_pages) {
     for (const auto& [addr, loc] : index_) {
       if (loc.seg == id) live.emplace_back(addr, loc);
     }
-    // Work cap: only take a segment when its whole live set fits in the
-    // remaining budget — a half-rewritten segment could not be unlinked,
-    // so partial work would be wasted. Fully dead segments cost nothing.
-    if (max_pages > 0 && rewritten + live.size() > max_pages) continue;
+    // A record left behind keeps its index entry on this segment, so the
+    // segment may be unlinked only when every copy went through.
+    bool copied_all = true;
     for (const auto& [addr, loc] : live) {
-      const int fd = reader_locked(id);
-      if (fd < 0) continue;
-      Bytes data(loc.len);
-      std::size_t done = 0;
-      bool ok = true;
-      while (done < data.size()) {
-        const ::ssize_t r =
-            ::pread(fd, data.data() + done, data.size() - done,
-                    static_cast<::off_t>(loc.offset + done));
-        if (r < 0 && errno == EINTR) continue;
-        if (r <= 0) {
-          ok = false;
-          break;
-        }
-        done += static_cast<std::size_t>(r);
+      const std::optional<Bytes> data = read_locked(loc);
+      if (!data || !append_locked(addr, &*data).ok()) {
+        copied_all = false;
+        break;
       }
-      if (!ok) continue;
-      (void)append_locked(addr, &data);
       ++rewritten;
     }
-    completed.push_back(id);
+    if (copied_all) completed.push_back(id);
   }
   // Commit the copies before unlinking their sources: a crash in between
   // must always leave at least one committed copy of every page.
-  (void)commit_locked();
+  if (!commit_locked().ok()) completed.clear();
   std::error_code ec;
   for (std::uint64_t id : completed) {
     auto it = segments_.find(id);

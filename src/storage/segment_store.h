@@ -13,9 +13,9 @@
 //   * Durability is **group commit**: commit() flushes the buffer and
 //     issues one fdatasync covering every record appended since the last
 //     commit. The owner (core::Node) drains on a timer tick
-//     (group_commit_us) or a pending-bytes threshold (group_commit_bytes),
-//     amortizing one sync over a whole batch of page writes — and, through
-//     DiskStore::commit(), the MetaJournal's records too.
+//     (group_commit_us), amortizing one sync over a whole batch of page
+//     writes — and, through DiskStore::commit(), the MetaJournal's records
+//     too.
 //   * An in-memory index (address -> segment/offset/length) is the only
 //     lookup structure; it is rebuilt on open by scanning the segments in
 //     id order (newest record wins, tombstones delete). A torn tail — the
@@ -26,7 +26,8 @@
 //   * compact() rewrites the live records out of mostly-dead cold segments
 //     into the head segment and unlinks them (checkpoint/compaction pass;
 //     Node runs it on its own timer rail so lane threads never block on
-//     it). Sources are unlinked only after the copies are committed.
+//     it). A source is unlinked only after every one of its live records
+//     was copied and the copies were committed.
 //
 // Record framing (little-endian): u32 magic, u8 kind (put/tombstone),
 // u64 addr.hi, u64 addr.lo, u32 payload length, u32 FNV-1a payload
@@ -107,20 +108,16 @@ class SegmentStore {
   /// the destructor's buffer flush provides.
   void set_sync_on_commit(bool on) { sync_on_commit_ = on; }
 
-  /// Payload bytes appended since the last commit() — the owner's
-  /// group_commit_bytes threshold input.
-  [[nodiscard]] std::uint64_t pending_bytes() const;
+  /// Page records appended since the last commit().
   [[nodiscard]] std::uint64_t pending_pages() const;
 
   /// Checkpoint/compaction: rewrites the live records of cold segments
   /// (less than half their payload still live, plus fully-dead ones) into
-  /// the head segment, commits the copies, then unlinks the sources.
-  /// `max_pages` > 0 bounds the rewrite work of one pass: a cold segment
-  /// is only processed when its whole live set fits in the remaining
-  /// budget (partially rewritten segments cannot be unlinked), so a
-  /// backlog drains across ticks instead of stalling one checkpoint.
-  /// Returns pages rewritten.
-  std::size_t compact(std::size_t max_pages = 0);
+  /// the head segment, commits the copies, then unlinks the sources. A
+  /// source with a record that could not be read or re-appended, or any
+  /// source at all when the commit fails, stays on disk (its index entries
+  /// still point at it). Returns pages rewritten.
+  std::size_t compact();
 
   [[nodiscard]] SegmentStats stats() const;
 
@@ -154,6 +151,9 @@ class SegmentStore {
   void drop_index_locked(const GlobalAddress& addr);
   [[nodiscard]] int reader_locked(std::uint64_t id);
   void update_gauge_locked();
+  /// Reads one record's payload; nullopt when the segment cannot be
+  /// opened or the read comes up short.
+  [[nodiscard]] std::optional<Bytes> read_locked(const Locator& loc);
 
   std::filesystem::path dir_;
   SegmentConfig cfg_;
@@ -169,7 +169,6 @@ class SegmentStore {
   /// Rotated-away fds not yet fdatasync'd (closed at the next commit).
   std::vector<int> unsynced_fds_;
   bool head_dirty_ = false;
-  std::uint64_t pending_bytes_ = 0;
   std::uint64_t pending_pages_ = 0;
 
   // Unbound-safe instrument pointers (docs/observability.md).

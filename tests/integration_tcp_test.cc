@@ -211,20 +211,13 @@ void set_every_knob(NodeConfig& c) {
   c.sync_metadata = true;
   c.segment_bytes = 1ull << 20;
   c.group_commit_us = 5'000;
-  c.group_commit_bytes = 64ull << 10;
   c.checkpoint_interval = 900'000;
   c.slow_op_threshold_us = 1'000'000;
   c.slow_op_deadline_fraction = 0.9;
   c.flight_recorder_capacity = 8;
   c.stats_sample_interval = 700'000;
   c.stats_series_capacity = 16;
-  c.location = {.hint_sync_interval = 600'000,
-                .refresh_interval = 800'000,
-                .refresh_age_us = 100'000,
-                .refresh_hot_accesses = 2,
-                .free_space_ttl = 5'000'000};
-  c.map_rebalance_every = 64;
-  c.compaction_pages_per_tick = 128;
+  c.location = {.hint_sync_interval = 600'000, .free_space_ttl = 5'000'000};
   c.seed = 9;
   c.principal = 7;
   c.lanes = 2;

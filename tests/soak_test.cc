@@ -195,6 +195,20 @@ TEST(SoakTest, TcpReconnectChurnLeaksNoThreadsOrTimers) {
     }
     return -1;
   };
+  // A thread that has been joined can still be counted for a moment while
+  // it leaves the kernel, and one count may be read mid-exit: wait (at most
+  // 2 s) until the count holds still for 50 ms before reading it.
+  const auto settled_thread_count = [&] {
+    int last = thread_count();
+    int still = 0;
+    for (int i = 0; i < 400 && still < 10; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const int now = thread_count();
+      still = now == last ? still + 1 : 0;
+      last = now;
+    }
+    return last;
+  };
 
   net::TcpBus bus(44800);
   auto& a = bus.add_node(0);
@@ -218,9 +232,10 @@ TEST(SoakTest, TcpReconnectChurnLeaksNoThreadsOrTimers) {
     }
     ASSERT_GE(got.load(), want) << "cycle " << cycle;
     bus.remove_node(1);  // joins the peer's threads deterministically
-    if (cycle == 0) baseline = thread_count();
+    if (cycle == 0) baseline = settled_thread_count();
   }
-  EXPECT_EQ(thread_count(), baseline) << "reconnect churn grew threads";
+  EXPECT_EQ(settled_thread_count(), baseline)
+      << "reconnect churn grew threads";
 
   // A long-running ping loop schedules and cancels constantly; the timer
   // heap must not accumulate the cancelled entries.
